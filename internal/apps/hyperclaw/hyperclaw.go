@@ -140,14 +140,14 @@ type State struct {
 	nomSurf float64
 	// nominal cells of the base level.
 	nomBaseCells float64
-	// Cached intersection pair lists, rebuilt after each regrid (the
+	// plans caches this rank's exchange plans until the next regrid (the
 	// original's CopyAssoc caching — recomputing them per ghost fill is
 	// exactly the §8.1 inefficiency).
-	pairCache map[pairKey][]amr.Pair
+	plans map[pairKey]*exchangePlan
 	// gen counts regrids. All ranks regrid in lockstep, so the counter is
 	// identical across ranks and scopes the world-level metadata memos:
 	// replicated derivations (global tag sets, cluster box lists,
-	// intersection pairs) are computed once per world per generation via
+	// exchange plans) are computed once per world per generation via
 	// simmpi.Memo instead of once per rank, while each rank still charges
 	// its own modelled cost.
 	gen int
@@ -182,8 +182,8 @@ const (
 	pairRecopy                  // old level boxes × new level boxes
 )
 
-// hclawMemoKey scopes a world-level metadata memo (tag sets, box lists,
-// intersection pairs) to the current regrid generation.
+// hclawMemoKey scopes a world-level exchange plan memo to the current
+// regrid generation.
 type hclawMemoKey struct {
 	what  pairKind
 	naive bool
@@ -197,35 +197,6 @@ type regridMemoKey struct {
 	lvl  int
 	gen  int
 }
-
-// cachedIntersect returns the intersection pairs under a cache key,
-// computing and charging them only on the first use since the last
-// regrid. Same-level lists drop their self pairs (box i ∩ grown(i)):
-// copying a patch's interior onto itself is a no-op the exchange loop
-// would otherwise pack in full before discarding. Every rank derives the
-// identical filtered list, so tags stay aligned.
-func (s *State) cachedIntersect(k pairKey, a, b []amr.Box) []amr.Pair {
-	if s.pairCache == nil {
-		s.pairCache = make(map[pairKey][]amr.Pair)
-	}
-	if pairs, ok := s.pairCache[k]; ok {
-		return pairs
-	}
-	pairs := s.intersect(k, a, b)
-	if k.kind == pairSame {
-		trimmed := make([]amr.Pair, 0, len(pairs))
-		for _, pr := range pairs {
-			if pr.A != pr.B {
-				trimmed = append(trimmed, pr)
-			}
-		}
-		pairs = trimmed
-	}
-	s.pairCache[k] = pairs
-	return pairs
-}
-
-func (s *State) invalidatePairCache() { s.pairCache = nil }
 
 // NewState builds the initial hierarchy: a chopped, knapsack-distributed
 // base level covering the domain, then initial refinement levels from
@@ -295,30 +266,154 @@ func (s *State) nextTag() int {
 	return s.tag
 }
 
-// intersect dispatches to the configured box-intersection algorithm and
-// charges its nominal cost (§8.1: O(N²) versus hashed O(N log N), with
-// nominal box counts scaled up from the actual hierarchy). The box lists
-// are replicated metadata — identical on every rank — so the actual pair
-// computation runs once per world under key; the modelled cost is still
-// charged by every caller.
-func (s *State) intersect(k pairKey, a, b []amr.Box) []amr.Pair {
-	nomBoxes := s.nominalBoxes(len(a) + len(b))
-	mk := hclawMemoKey{what: k.kind, naive: s.cfg.NaiveIntersect, lvl: k.lvl, gen: s.gen}
+// exchangePlan is one intersection pair list with each rank's share of
+// it worked out: the pairs the rank sources (local copies and sends)
+// and the pairs it receives from another rank, each in ascending pair
+// order. A plan is replicated metadata, built once per world per regrid
+// generation and shared read-only by every rank, so a rank's exchange
+// walks its own rows instead of scanning the whole list.
+type exchangePlan struct {
+	pairs []amr.Pair
+	// srcOwner and dstOwner map the A and B box indices to ranks.
+	srcOwner, dstOwner []int
+	// out holds the pairs each rank sources; in the pairs each rank
+	// receives from another rank.
+	out, in rankRows
+}
+
+// rankRows groups pair indices by rank in CSR form: rank r's row is
+// idx[off[r]:off[r+1]].
+type rankRows struct{ off, idx []int32 }
+
+func (rr rankRows) row(r int) []int32 { return rr.idx[rr.off[r]:rr.off[r+1]] }
+
+// newExchangePlan splits pairs into per-rank rows over nprocs ranks.
+func newExchangePlan(pairs []amr.Pair, srcOwner, dstOwner []int, nprocs int) *exchangePlan {
+	return &exchangePlan{
+		pairs: pairs, srcOwner: srcOwner, dstOwner: dstOwner,
+		out: groupByRank(pairs, nprocs, func(pr amr.Pair) int {
+			return srcOwner[pr.A]
+		}),
+		in: groupByRank(pairs, nprocs, func(pr amr.Pair) int {
+			if so, do := srcOwner[pr.A], dstOwner[pr.B]; so != do {
+				return do
+			}
+			return -1
+		}),
+	}
+}
+
+// groupByRank buckets each pair's index under rankOf(pair), skipping
+// pairs it maps to -1; a counting sort keeps every row ascending.
+func groupByRank(pairs []amr.Pair, nprocs int, rankOf func(amr.Pair) int) rankRows {
+	rr := rankRows{off: make([]int32, nprocs+1)}
+	for _, pr := range pairs {
+		if r := rankOf(pr); r >= 0 {
+			rr.off[r+1]++
+		}
+	}
+	for r := 0; r < nprocs; r++ {
+		rr.off[r+1] += rr.off[r]
+	}
+	rr.idx = make([]int32, rr.off[nprocs])
+	next := append([]int32(nil), rr.off[:nprocs]...)
+	for i, pr := range pairs {
+		if r := rankOf(pr); r >= 0 {
+			rr.idx[next[r]] = int32(i)
+			next[r]++
+		}
+	}
+	return rr
+}
+
+// plan returns the exchange plan of pair list k from level src (A
+// boxes) to level dst (B boxes). The box lists and their intersection,
+// by the configured algorithm, are computed once per world per regrid
+// generation; this rank charges the intersection's nominal cost on its
+// first use since the last regrid (§8.1: O(N²) versus hashed
+// O(N log N), with nominal box counts scaled up from the actual
+// hierarchy), as the replicated computation would.
+func (s *State) plan(k pairKey, src, dst *Level) *exchangePlan {
+	if p, ok := s.plans[k]; ok {
+		return p
+	}
+	naive := s.cfg.NaiveIntersect
+	p := s.r.Memo(hclawMemoKey{what: k.kind, naive: naive, lvl: k.lvl, gen: s.gen}, func() any {
+		a, b := planBoxes(k.kind, src, dst)
+		var pairs []amr.Pair
+		if naive {
+			pairs = amr.IntersectNaive(a, b)
+		} else {
+			pairs = amr.IntersectHashed(a, b)
+		}
+		if k.kind == pairSame {
+			// Drop self pairs (box i ∩ grown(i)): copying a patch's
+			// interior onto itself is a no-op that would otherwise be
+			// packed in full before being discarded.
+			kept := pairs[:0]
+			for _, pr := range pairs {
+				if pr.A != pr.B {
+					kept = append(kept, pr)
+				}
+			}
+			pairs = kept
+		}
+		return newExchangePlan(pairs, src.Owner, dst.Owner, s.r.N())
+	}).(*exchangePlan)
+	nomBoxes := s.nominalBoxes(len(src.Boxes) + len(dst.Boxes))
 	var ops float64
-	var pairs []amr.Pair
-	if s.cfg.NaiveIntersect {
-		pairs = s.r.Memo(mk, func() any {
-			return amr.IntersectNaive(a, b)
-		}).([]amr.Pair)
+	if naive {
 		ops = nomBoxes * nomBoxes
 	} else {
-		pairs = s.r.Memo(mk, func() any {
-			return amr.IntersectHashed(a, b)
-		}).([]amr.Pair)
 		ops = nomBoxes * (1 + math.Log2(math.Max(nomBoxes, 2))) * 4
 	}
 	s.r.Compute(RegridKernel, ops*12)
-	return pairs
+	if s.plans == nil {
+		s.plans = make(map[pairKey]*exchangePlan)
+	}
+	s.plans[k] = p
+	return p
+}
+
+// planBoxes derives the two box lists pair list kind intersects: A boxes
+// index src's patches, B boxes dst's.
+func planBoxes(kind pairKind, src, dst *Level) (a, b []amr.Box) {
+	switch kind {
+	case pairProlong:
+		// Coarse boxes × coarsened ghost regions of the fine patches.
+		b = make([]amr.Box, len(dst.Boxes))
+		for i, bx := range dst.Boxes {
+			g, ok := bx.Grow(ghostWidth).Intersect(dst.Domain)
+			if !ok {
+				g = bx
+			}
+			b[i] = g.Coarsen(dst.Ratio)
+		}
+		return src.Boxes, b
+	case pairSame:
+		// Source interiors × grown destination boxes.
+		b = make([]amr.Box, len(dst.Boxes))
+		for i, bx := range dst.Boxes {
+			b[i] = bx.Grow(ghostWidth)
+		}
+		return src.Boxes, b
+	case pairAvg:
+		// Coarsened fine boxes × coarse boxes.
+		return coarsenAll(src.Boxes, src.Ratio), dst.Boxes
+	case pairSeed:
+		// Parent boxes × coarsened new boxes.
+		return src.Boxes, coarsenAll(dst.Boxes, dst.Ratio)
+	default: // pairRecopy: old level boxes × new level boxes
+		return src.Boxes, dst.Boxes
+	}
+}
+
+func coarsenAll(boxes []amr.Box, ratio int) []amr.Box {
+	out := make([]amr.Box, len(boxes))
+	for i, b := range boxes {
+		out[i] = b.Coarsen(ratio)
+	}
+	return out
 }
 
 // nominalBoxes scales an actual box count to the nominal hierarchy.
@@ -332,31 +427,33 @@ func (s *State) nominalBoxes(actual int) float64 {
 	return float64(actual) * boxRatio
 }
 
-// exchangePairs performs the point-to-point copies for a list of overlap
-// pairs: for pair (src box of level ls, dst region on level ld). pack
-// extracts data from the source patch; apply stores received data at the
-// destination. Every rank walks the identical pair list, so tags line up
-// without negotiation (replicated-metadata style, as in BoxLib).
-func (s *State) exchangePairs(pairs []amr.Pair, srcOwner, dstOwner []int,
+// exchangePairs performs the point-to-point copies of an exchange plan:
+// for each pair (source box A, overlap region of destination box B),
+// pack extracts data from the source patch and apply stores it at the
+// destination. Each rank walks only its own rows of the plan: the pairs
+// it sources, then the pairs it receives. Every rank reserves the whole
+// list's tag range and tags pair i as baseTag+i+1, so sender and
+// receiver agree on tags without negotiation (replicated-metadata
+// style, as in BoxLib).
+func (s *State) exchangePairs(plan *exchangePlan,
 	pack func(pair amr.Pair) []float64, apply func(pair amr.Pair, data []float64)) {
 
 	me := s.r.ID()
 	baseTag := s.tag
-	s.tag += len(pairs)
+	s.tag += len(plan.pairs)
 	if s.traj != nil {
 		// Replay: the payload of every pair is NFields·|overlap| values —
 		// pure box metadata — so the messages fly with nil bodies and the
 		// identical nominal byte counts, and pack/apply never run.
-		for i, pr := range pairs {
-			if srcOwner[pr.A] == me && dstOwner[pr.B] != me {
-				s.r.SendOwnedNominal(dstOwner[pr.B], baseTag+i+1, nil,
+		for _, i := range plan.out.row(me) {
+			pr := plan.pairs[i]
+			if do := plan.dstOwner[pr.B]; do != me {
+				s.r.SendOwnedNominal(do, baseTag+int(i)+1, nil,
 					float64(NFields*pr.Overlap.Size()*8)*s.nomSurf)
 			}
 		}
-		for i, pr := range pairs {
-			if dstOwner[pr.B] == me && srcOwner[pr.A] != me {
-				s.r.Recv(srcOwner[pr.A], baseTag+i+1)
-			}
+		for _, i := range plan.in.row(me) {
+			s.r.Recv(plan.srcOwner[plan.pairs[i].A], baseTag+int(i)+1)
 		}
 		return
 	}
@@ -369,30 +466,26 @@ func (s *State) exchangePairs(pairs []amr.Pair, srcOwner, dstOwner []int,
 	// received buffers are freed here, sent buffers transfer ownership to
 	// the receiver (who frees them in its own loop). No apply callback
 	// retains its data argument.
-	for i, pr := range pairs {
-		so, do := srcOwner[pr.A], dstOwner[pr.B]
-		switch {
-		case so == me && do == me:
-			data := pack(pr)
+	for _, i := range plan.out.row(me) {
+		pr := plan.pairs[i]
+		data := pack(pr)
+		if do := plan.dstOwner[pr.B]; do == me {
 			apply(pr, data)
 			s.r.FreeBuf(data)
-		case so == me:
+		} else {
 			// pack builds a fresh or pooled buffer per pair, so ownership
 			// can transfer to the receiver without a defensive copy. Every
 			// pack produces exactly NFields·|overlap| values; charging from
 			// the metadata keeps full and replay runs byte-identical.
-			data := pack(pr)
-			s.r.SendOwnedNominal(do, baseTag+i+1, data,
+			s.r.SendOwnedNominal(do, baseTag+int(i)+1, data,
 				float64(NFields*pr.Overlap.Size()*8)*s.nomSurf)
 		}
 	}
-	for i, pr := range pairs {
-		so, do := srcOwner[pr.A], dstOwner[pr.B]
-		if do == me && so != me {
-			data := s.r.Recv(so, baseTag+i+1)
-			apply(pr, data)
-			s.r.FreeBuf(data)
-		}
+	for _, i := range plan.in.row(me) {
+		pr := plan.pairs[i]
+		data := s.r.Recv(plan.srcOwner[pr.A], baseTag+int(i)+1)
+		apply(pr, data)
+		s.r.FreeBuf(data)
 	}
 }
 
@@ -404,18 +497,7 @@ func (s *State) fillGhosts(li int) {
 	l := s.levels[li]
 	if li > 0 {
 		coarse := s.levels[li-1]
-		// Ghost-region prolongation pairs: coarse boxes × coarsened
-		// ghost boxes of fine patches.
-		ghostBoxes := make([]amr.Box, len(l.Boxes))
-		for i, b := range l.Boxes {
-			g, ok := b.Grow(ghostWidth).Intersect(l.Domain)
-			if !ok {
-				g = b
-			}
-			ghostBoxes[i] = g.Coarsen(l.Ratio)
-		}
-		pairs := s.cachedIntersect(pairKey{pairProlong, li}, coarse.Boxes, ghostBoxes)
-		s.exchangePairs(pairs, coarse.Owner, l.Owner,
+		s.exchangePairs(s.plan(pairKey{pairProlong, li}, coarse, l),
 			func(pr amr.Pair) []float64 {
 				return coarse.Patch[pr.A].PackRegionInto(pr.Overlap,
 					s.r.GetBuf(NFields*pr.Overlap.Size()))
@@ -429,14 +511,7 @@ func (s *State) fillGhosts(li int) {
 			})
 	}
 	// Same-level copies: source interiors into destination ghosts.
-	grown := make([]amr.Box, len(l.Boxes))
-	for i, b := range l.Boxes {
-		grown[i] = b.Grow(ghostWidth)
-	}
-	// Self pairs (a box's interior onto itself) are filtered out of the
-	// cached list, so every remaining pair moves real data.
-	pairs := s.cachedIntersect(pairKey{pairSame, li}, l.Boxes, grown)
-	s.exchangePairs(pairs, l.Owner, l.Owner,
+	s.exchangePairs(s.plan(pairKey{pairSame, li}, l, l),
 		func(pr amr.Pair) []float64 {
 			return l.Patch[pr.A].PackRegionInto(pr.Overlap,
 				s.r.GetBuf(NFields*pr.Overlap.Size()))
@@ -464,13 +539,8 @@ func (s *State) averageDown() {
 	for li := len(s.levels) - 1; li >= 1; li-- {
 		fine := s.levels[li]
 		coarse := s.levels[li-1]
-		coarsened := make([]amr.Box, len(fine.Boxes))
-		for i, b := range fine.Boxes {
-			coarsened[i] = b.Coarsen(fine.Ratio)
-		}
-		pairs := s.cachedIntersect(pairKey{pairAvg, li}, coarsened, coarse.Boxes)
 		// Here A indexes fine boxes (coarsened) and B coarse boxes.
-		s.exchangePairs(pairs, fine.Owner, coarse.Owner,
+		s.exchangePairs(s.plan(pairKey{pairAvg, li}, fine, coarse),
 			func(pr amr.Pair) []float64 {
 				return restrictRegionInto(fine.Patch[pr.A], pr.Overlap, fine.Ratio,
 					s.r.GetBuf(NFields*pr.Overlap.Size()))
@@ -599,12 +669,7 @@ func (s *State) regrid() {
 		}
 		// Fill new patches: prolongation from the parent everywhere,
 		// then overwrite with old same-level data where it exists.
-		coarsened := make([]amr.Box, len(newBoxes))
-		for i, b := range newBoxes {
-			coarsened[i] = b.Coarsen(ratio)
-		}
-		pairs := s.intersect(pairKey{pairSeed, li}, parent.Boxes, coarsened)
-		s.exchangePairs(pairs, parent.Owner, lvl.Owner,
+		s.exchangePairs(s.plan(pairKey{pairSeed, li}, parent, lvl),
 			func(pr amr.Pair) []float64 {
 				return parent.Patch[pr.A].PackRegionInto(pr.Overlap,
 					s.r.GetBuf(NFields*pr.Overlap.Size()))
@@ -617,8 +682,7 @@ func (s *State) regrid() {
 			})
 		if li < len(s.levels) {
 			old := s.levels[li]
-			pairs := s.intersect(pairKey{pairRecopy, li}, old.Boxes, newBoxes)
-			s.exchangePairs(pairs, old.Owner, lvl.Owner,
+			s.exchangePairs(s.plan(pairKey{pairRecopy, li}, old, lvl),
 				func(pr amr.Pair) []float64 {
 					return old.Patch[pr.A].PackRegionInto(pr.Overlap,
 						s.r.GetBuf(NFields*pr.Overlap.Size()))
@@ -631,7 +695,7 @@ func (s *State) regrid() {
 			s.levels = append(s.levels, lvl)
 		}
 	}
-	s.invalidatePairCache()
+	s.plans = nil
 	s.r.AddPhase("regrid", s.r.Now()-t0)
 }
 

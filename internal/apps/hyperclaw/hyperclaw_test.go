@@ -2,7 +2,14 @@ package hyperclaw
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/amr"
@@ -351,5 +358,100 @@ func TestTrajectoryReplayBitIdentical(t *testing.T) {
 		if replayed.Phases[name] != v {
 			t.Fatalf("phase %q: replay %v, fresh %v", name, replayed.Phases[name], v)
 		}
+	}
+}
+
+// TestExchangePlanMatchesScan checks each rank's plan rows against a
+// filter over the whole pair list: out holds, in order, the pairs the
+// rank sources (local copies and sends), in the pairs it receives from
+// another rank. Small owner ranges make same-owner pairs common, and
+// nprocs above the owner range leaves ranks that own nothing.
+func TestExchangePlanMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		nprocs := 1 + rng.Intn(9)
+		owners := 1 + rng.Intn(nprocs)
+		randOwners := func(n int) []int {
+			o := make([]int, n)
+			for i := range o {
+				o[i] = rng.Intn(owners)
+			}
+			return o
+		}
+		srcOwner, dstOwner := randOwners(1+rng.Intn(8)), randOwners(1+rng.Intn(8))
+		pairs := make([]amr.Pair, rng.Intn(40))
+		for i := range pairs {
+			pairs[i] = amr.Pair{A: rng.Intn(len(srcOwner)), B: rng.Intn(len(dstOwner))}
+		}
+		plan := newExchangePlan(pairs, srcOwner, dstOwner, nprocs)
+		for me := 0; me < nprocs; me++ {
+			var wantOut, wantIn []int32
+			for i, pr := range pairs {
+				so, do := srcOwner[pr.A], dstOwner[pr.B]
+				if so == me {
+					wantOut = append(wantOut, int32(i))
+				}
+				if do == me && so != me {
+					wantIn = append(wantIn, int32(i))
+				}
+			}
+			if got := plan.out.row(me); !slices.Equal(got, wantOut) {
+				t.Fatalf("trial %d rank %d of %d: out %v, scan %v", trial, me, nprocs, got, wantOut)
+			}
+			if got := plan.in.row(me); !slices.Equal(got, wantIn) {
+				t.Fatalf("trial %d rank %d of %d: in %v, scan %v", trial, me, nprocs, got, wantIn)
+			}
+		}
+	}
+}
+
+// renderReport prints every Report field, floats as exact hex bits.
+func renderReport(rep *simmpi.Report) string {
+	hex := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+	var b strings.Builder
+	fmt.Fprintf(&b, "machine=%s procs=%d wall=%s flops=%s comm=%s maxcomm=%s bytes=%s msgs=%d imbalance=%s",
+		rep.Machine, rep.Procs, hex(float64(rep.Wall)), hex(rep.TotalFlops), hex(rep.CommFrac),
+		hex(rep.MaxCommFrac), hex(rep.BytesSent), rep.Messages, hex(rep.LoadImbalance))
+	names := make([]string, 0, len(rep.Phases))
+	for n := range rep.Phases {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(&b, " %s=%s", n, hex(float64(rep.Phases[n])))
+	}
+	return b.String()
+}
+
+// TestAblationReportsPinned pins the §8.1 study ladder (the amropt
+// configuration, every NaiveIntersect/CopyingKnapsack variant) bit for
+// bit at P=4 and P=16 against testdata/ablation.golden, for the
+// full-physics run that records the trajectory and for its replay.
+func TestAblationReportsPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/ablation.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full, replay strings.Builder
+	for _, procs := range []int{4, 16} {
+		for _, v := range studyVariants {
+			c := studyConfig(procs)
+			c.NaiveIntersect, c.CopyingKnapsack = v.naive, v.copying
+			sim := simmpi.Config{Machine: machine.Phoenix, Procs: procs}
+			ResetTrajectoryCache()
+			for _, out := range []*strings.Builder{&full, &replay} {
+				rep, err := Run(context.Background(), sim, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(out, "naive=%t copying=%t %s\n", v.naive, v.copying, renderReport(rep))
+			}
+		}
+	}
+	if full.String() != string(want) {
+		t.Errorf("full-run reports diverge from testdata/ablation.golden:\ngot:\n%swant:\n%s", full.String(), want)
+	}
+	if replay.String() != full.String() {
+		t.Errorf("replayed reports diverge from full runs:\nreplay:\n%sfull:\n%s", replay.String(), full.String())
 	}
 }

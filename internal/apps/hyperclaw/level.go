@@ -178,17 +178,11 @@ func prolongate(dst *Patch, fineRegion amr.Box, coarseRegion amr.Box, coarseData
 	}
 }
 
-// restrictRegion averages fine patch data down onto the coarse cells of
-// coarseRegion (coarse index space), returning the packed averages.
-func restrictRegion(src *Patch, coarseRegion amr.Box, ratio int) []float64 {
-	return restrictRegionInto(src, coarseRegion, ratio,
-		make([]float64, 0, NFields*coarseRegion.Size()))
-}
-
-// restrictRegionInto is restrictRegion writing into a caller-supplied
-// buffer (typically a pooled simmpi payload buffer), which must be empty
-// with sufficient capacity. Every element is written, so the buffer need
-// not be zeroed.
+// restrictRegionInto averages fine patch data down onto the coarse cells
+// of coarseRegion (coarse index space), writing the packed averages into
+// a caller-supplied buffer (typically a pooled simmpi payload buffer),
+// which must be empty with sufficient capacity. Every element is
+// written, so the buffer need not be zeroed.
 func restrictRegionInto(src *Patch, coarseRegion amr.Box, ratio int, buf []float64) []float64 {
 	cext := [3]int{coarseRegion.Extent(0), coarseRegion.Extent(1), coarseRegion.Extent(2)}
 	csize := cext[0] * cext[1] * cext[2]

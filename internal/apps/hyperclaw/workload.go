@@ -44,24 +44,9 @@ func (workload) Studies(quick bool) []apps.Study {
 	if quick {
 		procs = 16
 	}
-	cfg := DefaultConfig(procs)
-	// A large nominal hierarchy exercises the regrid machinery the way
-	// the paper's "hundreds of thousands of boxes" stress it; the §8.1
-	// measurements put knapsack+regrid near 60% of large runs.
-	cfg.NomBase = [3]int{512 * 8, 64, 32}
-	cfg.NomMaxBoxCells = 16 * 16 * 16
-
-	type variant struct {
-		label          string
-		naive, copying bool
-	}
-	variants := []variant{
-		{"original (O(N²) intersect, copying knapsack)", true, true},
-		{"+ pointer-swap knapsack", true, false},
-		{"+ hashed O(N log N) intersection", false, false},
-	}
-	labels := make([]string, len(variants))
-	for i, v := range variants {
+	cfg := studyConfig(procs)
+	labels := make([]string, len(studyVariants))
+	for i, v := range studyVariants {
 		labels[i] = v.label
 	}
 	return []apps.Study{{
@@ -72,8 +57,8 @@ func (workload) Studies(quick bool) []apps.Study {
 		Labels:  labels,
 		Wall: func(ctx context.Context, i int) (float64, error) {
 			c := cfg
-			c.NaiveIntersect = variants[i].naive
-			c.CopyingKnapsack = variants[i].copying
+			c.NaiveIntersect = studyVariants[i].naive
+			c.CopyingKnapsack = studyVariants[i].copying
 			rep, err := Run(ctx, simmpi.Config{Machine: machine.Phoenix, Procs: procs}, c)
 			if err != nil {
 				return 0, err
@@ -81,4 +66,25 @@ func (workload) Studies(quick bool) []apps.Study {
 			return rep.Wall, nil
 		},
 	}}
+}
+
+// studyConfig is the §8.1 study problem at procs ranks.
+func studyConfig(procs int) Config {
+	cfg := DefaultConfig(procs)
+	// A large nominal hierarchy exercises the regrid machinery the way
+	// the paper's "hundreds of thousands of boxes" stress it; the §8.1
+	// measurements put knapsack+regrid near 60% of large runs.
+	cfg.NomBase = [3]int{512 * 8, 64, 32}
+	cfg.NomMaxBoxCells = 16 * 16 * 16
+	return cfg
+}
+
+// studyVariants is the §8.1 optimisation ladder, baseline first.
+var studyVariants = []struct {
+	label          string
+	naive, copying bool
+}{
+	{"original (O(N²) intersect, copying knapsack)", true, true},
+	{"+ pointer-swap knapsack", true, false},
+	{"+ hashed O(N log N) intersection", false, false},
 }

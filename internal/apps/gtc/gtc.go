@@ -185,6 +185,8 @@ type State struct {
 	domainComm   *simmpi.Comm
 
 	parts      []Particle
+	right      []Particle // Shift scratch: particles leaving each way
+	left       []Particle
 	rho, phi   []float64 // actual plane grids (edge²)
 	phiTmp     []float64
 	exF, eyF   []float64 // plane field components
@@ -418,30 +420,36 @@ func (s *State) ringRank(dir int) int {
 
 // Shift exchanges particles that left the domain with the ring
 // neighbours, in both toroidal directions (the dominant point-to-point
-// pattern of Figure 1a).
+// pattern of Figure 1a). Staying particles keep their order; arrivals
+// from the left, then from the right, follow them.
 func (s *State) Shift() {
 	t0 := s.r.Now()
-	var stay, right, left []Particle
+	stay := s.parts[:0]
+	s.right, s.left = s.right[:0], s.left[:0]
 	for _, p := range s.parts {
 		switch {
 		case s.inDomain(p.Zeta):
 			stay = append(stay, p)
 		case forwardDistance(s.domain, int(p.Zeta*float64(s.cfg.Domains)), s.cfg.Domains):
-			right = append(right, p)
+			s.right = append(s.right, p)
 		default:
-			left = append(left, p)
+			s.left = append(s.left, p)
 		}
 	}
 	s.shiftCalls++
 	tagR := 1000 + 2*s.shiftCalls
 	tagL := tagR + 1
 	if s.cfg.Domains > 1 {
-		fromLeft := s.r.SendrecvNominal(s.ringRank(+1), tagR, packParticles(right),
-			s.ringRank(-1), tagR, s.nomShift/2)
-		fromRight := s.r.SendrecvNominal(s.ringRank(-1), tagL, packParticles(left),
-			s.ringRank(+1), tagL, s.nomShift/2)
-		stay = append(stay, unpackParticles(fromLeft)...)
-		stay = append(stay, unpackParticles(fromRight)...)
+		// Payloads are packed into pooled buffers whose ownership passes
+		// to the receiver, which frees them once unpacked.
+		s.r.SendOwnedNominal(s.ringRank(+1), tagR, s.packParticles(s.right), s.nomShift/2)
+		fromLeft := s.r.Recv(s.ringRank(-1), tagR)
+		s.r.SendOwnedNominal(s.ringRank(-1), tagL, s.packParticles(s.left), s.nomShift/2)
+		fromRight := s.r.Recv(s.ringRank(+1), tagL)
+		stay = unpackParticles(stay, fromLeft)
+		stay = unpackParticles(stay, fromRight)
+		s.r.FreeBuf(fromLeft)
+		s.r.FreeBuf(fromRight)
 	}
 	s.parts = stay
 	s.r.AddPhase("shift", s.r.Now()-t0)
@@ -454,22 +462,22 @@ func forwardDistance(a, b, n int) bool {
 	return fwd <= n/2
 }
 
-func packParticles(ps []Particle) []float64 {
-	out := make([]float64, 0, len(ps)*particleWords)
+// packParticles packs ps into a buffer from the world's payload pool.
+func (s *State) packParticles(ps []Particle) []float64 {
+	out := s.r.GetBuf(len(ps) * particleWords)
 	for _, p := range ps {
 		out = append(out, p.X, p.Y, p.Zeta, p.Vx, p.Vy, p.Vpar, p.W)
 	}
 	return out
 }
 
-func unpackParticles(data []float64) []Particle {
-	n := len(data) / particleWords
-	out := make([]Particle, n)
-	for i := 0; i < n; i++ {
-		b := data[i*particleWords:]
-		out[i] = Particle{X: b[0], Y: b[1], Zeta: b[2], Vx: b[3], Vy: b[4], Vpar: b[5], W: b[6]}
+// unpackParticles appends the particles packed in data to dst.
+func unpackParticles(dst []Particle, data []float64) []Particle {
+	for i := 0; i+particleWords <= len(data); i += particleWords {
+		b := data[i : i+particleWords]
+		dst = append(dst, Particle{X: b[0], Y: b[1], Zeta: b[2], Vx: b[3], Vy: b[4], Vpar: b[5], W: b[6]})
 	}
-	return out
+	return dst
 }
 
 // Step advances one full PIC cycle.

@@ -2,7 +2,10 @@ package gtc
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
@@ -112,6 +115,52 @@ func TestShiftDeliversParticlesToOwnDomain(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShiftRecycledBuffersBitIdentical runs GTC with poison-on-put
+// enabled and off. Shift payloads travel in pooled buffers that the
+// receiver frees after unpacking, so a use-after-free would turn
+// particles into PoisonValue NaNs: the Report and every rank's final
+// particles must match the unpoisoned run bit for bit.
+func TestShiftRecycledBuffersBitIdentical(t *testing.T) {
+	const procs = 16
+	cfg := smallCfg(procs)
+	cfg.Domains = 8
+	cfg.Steps = 4
+	run := func(poison bool) (*simmpi.Report, []uint64) {
+		defer simmpi.SetPoisonPutsForTest(simmpi.SetPoisonPutsForTest(poison))
+		digests := make([]uint64, procs)
+		rep, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.BGL, Procs: procs}, func(r *simmpi.Rank) {
+			st, err := NewState(r, cfg)
+			if err != nil {
+				panic(err)
+			}
+			for i := 0; i < cfg.Steps; i++ {
+				st.Step()
+			}
+			h := fnv.New64a()
+			var b [8]byte
+			for _, p := range st.parts {
+				for _, v := range [particleWords]float64{p.X, p.Y, p.Zeta, p.Vx, p.Vy, p.Vpar, p.W} {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+			}
+			digests[r.ID()] = h.Sum64()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, digests
+	}
+	clean, cleanParts := run(false)
+	poisoned, poisonedParts := run(true)
+	if !reflect.DeepEqual(clean, poisoned) {
+		t.Errorf("poisoned run's report differs:\n got %+v\nwant %+v", poisoned, clean)
+	}
+	if !reflect.DeepEqual(cleanParts, poisonedParts) {
+		t.Errorf("poisoned run's particles differ: per-rank digests %x, want %x", poisonedParts, cleanParts)
 	}
 }
 

@@ -38,46 +38,56 @@ func (e *Exchanger) Exchange(fields ...*Field) {
 	rank := e.Rank.ID()
 	d := e.Decomp
 	for _, f := range fields {
-		// X sweep.
-		e.sweep(f, 0, d.PX, rank,
-			func(dir int) []float64 { return f.PackFaceX(dir, false, false) },
-			func(dir int, data []float64) { f.UnpackGhostX(dir, false, false, data) })
-		// Y sweep (x ghosts now valid).
-		e.sweep(f, 1, d.PY, rank,
-			func(dir int) []float64 { return f.PackFaceY(dir, true, false) },
-			func(dir int, data []float64) { f.UnpackGhostY(dir, true, false, data) })
-		// Z sweep (x and y ghosts now valid).
-		e.sweep(f, 2, d.PZ, rank,
-			func(dir int) []float64 { return f.PackFaceZ(dir, true, true) },
-			func(dir int, data []float64) { f.UnpackGhostZ(dir, true, true, data) })
+		// X sweep, then Y (x ghosts now valid), then Z (x and y ghosts
+		// now valid).
+		e.sweep(f, 0, d.PX, rank)
+		e.sweep(f, 1, d.PY, rank)
+		e.sweep(f, 2, d.PZ, rank)
 	}
+}
+
+// sweepFace returns the face that Exchange's sweep of dimension dim moves
+// at side dir: the dimensions swept before it are ghost-inclusive.
+func sweepFace(f *Field, dim, dir int, ghost bool) box {
+	return f.face(dim, dir, ghost, [3]bool{dim > 0, dim > 1, false})
+}
+
+// packFace packs the interior face of a sweep into a buffer from the
+// world's payload pool.
+func (e *Exchanger) packFace(f *Field, dim, dir int) []float64 {
+	b := sweepFace(f, dim, dir, false)
+	return f.pack(e.Rank.GetBuf(b.size()), b)
 }
 
 // sweep exchanges both faces of one dimension. Low faces travel to the
 // low neighbour (becoming its high ghosts) and vice versa.
-func (e *Exchanger) sweep(f *Field, dim, pdim, rank int,
-	pack func(dir int) []float64, unpack func(dir int, data []float64)) {
-
+func (e *Exchanger) sweep(f *Field, dim, pdim, rank int) {
 	if pdim == 1 {
 		// Periodic self-wrap: my own low face becomes my high ghost.
-		low := pack(-1)
-		high := pack(+1)
-		unpack(+1, low)
-		unpack(-1, high)
+		low := e.packFace(f, dim, -1)
+		high := e.packFace(f, dim, +1)
+		f.unpack(sweepFace(f, dim, +1, true), low)
+		f.unpack(sweepFace(f, dim, -1, true), high)
+		e.Rank.FreeBuf(low)
+		e.Rank.FreeBuf(high)
 		return
 	}
 	lowNbr := e.Decomp.Neighbor(rank, dim, -1)
 	highNbr := e.Decomp.Neighbor(rank, dim, +1)
-
 	// Phase 1: send low face down, receive from high neighbour.
-	t1 := e.nextTag()
-	lowFace := pack(-1)
-	fromHigh := e.Rank.SendrecvNominal(lowNbr, t1, lowFace, highNbr, t1, e.nominal(len(lowFace)))
-	unpack(+1, fromHigh)
-
+	e.shift(f, dim, -1, lowNbr, highNbr)
 	// Phase 2: send high face up, receive from low neighbour.
-	t2 := e.nextTag()
-	highFace := pack(+1)
-	fromLow := e.Rank.SendrecvNominal(highNbr, t2, highFace, lowNbr, t2, e.nominal(len(highFace)))
-	unpack(-1, fromLow)
+	e.shift(f, dim, +1, highNbr, lowNbr)
+}
+
+// shift sends the face at side dir to dst and fills the opposite ghosts
+// from src's face. The packed face is freshly pooled, so ownership passes
+// to the receiver, which frees it once unpacked.
+func (e *Exchanger) shift(f *Field, dim, dir, dst, src int) {
+	t := e.nextTag()
+	face := e.packFace(f, dim, dir)
+	e.Rank.SendOwnedNominal(dst, t, face, e.nominal(len(face)))
+	data := e.Rank.Recv(src, t)
+	f.unpack(sweepFace(f, dim, -dir, true), data)
+	e.Rank.FreeBuf(data)
 }

@@ -119,7 +119,6 @@ func (d Decomp) GlobalOrigin(rank int) (gx, gy, gz int) {
 type Field struct {
 	LX, LY, LZ int
 	G          int
-	sx, sy     int // strides
 	Data       []float64
 }
 
@@ -128,7 +127,6 @@ func NewField(lx, ly, lz, g int) *Field {
 	ex, ey, ez := lx+2*g, ly+2*g, lz+2*g
 	return &Field{
 		LX: lx, LY: ly, LZ: lz, G: g,
-		sx: 1, sy: ex,
 		Data: make([]float64, ex*ey*ez),
 	}
 }
@@ -156,9 +154,9 @@ func (f *Field) FillInterior(fn func(i, j, k int) float64) {
 	}
 }
 
-// extent returns the ghost-inclusive loop bounds for dimensions already
-// exchanged, so that edge and corner ghosts fill in after all three
-// dimension sweeps.
+// sweepBounds returns the ghost-inclusive loop bounds for dimensions
+// already exchanged, so that edge and corner ghosts fill in after all
+// three dimension sweeps.
 func sweepBounds(l, g int, includeGhost bool) (lo, hi int) {
 	if includeGhost {
 		return -g, l + g
@@ -166,117 +164,97 @@ func sweepBounds(l, g int, includeGhost bool) (lo, hi int) {
 	return 0, l
 }
 
-// PackFaceX extracts the x-face of thickness G at side dir (-1 sends the
-// low face, +1 the high face), ghost-inclusive in y/z per doneY/doneZ.
-func (f *Field) PackFaceX(dir int, doneY, doneZ bool) []float64 {
-	y0, y1 := sweepBounds(f.LY, f.G, doneY)
-	z0, z1 := sweepBounds(f.LZ, f.G, doneZ)
-	out := make([]float64, 0, f.G*(y1-y0)*(z1-z0))
-	for k := z0; k < z1; k++ {
-		for j := y0; j < y1; j++ {
-			for g := 0; g < f.G; g++ {
-				i := g // low face interior cells
-				if dir > 0 {
-					i = f.LX - f.G + g
-				}
-				out = append(out, f.At(i, j, k))
-			}
+// slab returns the thickness-g layer at side dir (-1 low, +1 high) of a
+// dimension of length l: the interior cells against that boundary, or
+// with ghost set the ghost cells beyond it.
+func slab(l, g, dir int, ghost bool) (lo, hi int) {
+	switch {
+	case dir < 0 && ghost:
+		return -g, 0
+	case dir < 0:
+		return 0, g
+	case ghost:
+		return l, l + g
+	}
+	return l - g, l
+}
+
+// box is a half-open cell range [lo, hi) per dimension (x, y, z). Faces
+// are packed k-outer, j, then i, so every (j, k) row of a box is one
+// contiguous run of Data.
+type box struct{ lo, hi [3]int }
+
+// size returns the number of cells in the box.
+func (b box) size() int {
+	return (b.hi[0] - b.lo[0]) * (b.hi[1] - b.lo[1]) * (b.hi[2] - b.lo[2])
+}
+
+// face returns the layer of thickness G at side dir of dimension dim:
+// the interior cells against that boundary, or with ghost set the ghost
+// cells beyond it. The other dimensions are ghost-inclusive where done
+// is set.
+func (f *Field) face(dim, dir int, ghost bool, done [3]bool) (b box) {
+	for d, l := range [3]int{f.LX, f.LY, f.LZ} {
+		if d == dim {
+			b.lo[d], b.hi[d] = slab(l, f.G, dir, ghost)
+		} else {
+			b.lo[d], b.hi[d] = sweepBounds(l, f.G, done[d])
 		}
 	}
-	return out
+	return b
+}
+
+// pack appends the box's cells to dst row by row.
+func (f *Field) pack(dst []float64, b box) []float64 {
+	n := b.hi[0] - b.lo[0]
+	for k := b.lo[2]; k < b.hi[2]; k++ {
+		for j := b.lo[1]; j < b.hi[1]; j++ {
+			o := f.Idx(b.lo[0], j, k)
+			dst = append(dst, f.Data[o:o+n]...)
+		}
+	}
+	return dst
+}
+
+// unpack stores data, in pack order, into the box's cells.
+func (f *Field) unpack(b box, data []float64) {
+	n := b.hi[0] - b.lo[0]
+	for k := b.lo[2]; k < b.hi[2]; k++ {
+		for j := b.lo[1]; j < b.hi[1]; j++ {
+			o := f.Idx(b.lo[0], j, k)
+			data = data[copy(f.Data[o:o+n], data):]
+		}
+	}
+}
+
+// PackFaceX appends the x-face of thickness G at side dir (-1 sends the
+// low face, +1 the high face) to dst, ghost-inclusive in y/z per
+// doneY/doneZ.
+func (f *Field) PackFaceX(dst []float64, dir int, doneY, doneZ bool) []float64 {
+	return f.pack(dst, f.face(0, dir, false, [3]bool{false, doneY, doneZ}))
 }
 
 // UnpackGhostX stores a received face into the x ghosts at side dir.
 func (f *Field) UnpackGhostX(dir int, doneY, doneZ bool, data []float64) {
-	y0, y1 := sweepBounds(f.LY, f.G, doneY)
-	z0, z1 := sweepBounds(f.LZ, f.G, doneZ)
-	idx := 0
-	for k := z0; k < z1; k++ {
-		for j := y0; j < y1; j++ {
-			for g := 0; g < f.G; g++ {
-				i := -f.G + g
-				if dir > 0 {
-					i = f.LX + g
-				}
-				f.Set(i, j, k, data[idx])
-				idx++
-			}
-		}
-	}
+	f.unpack(f.face(0, dir, true, [3]bool{false, doneY, doneZ}), data)
 }
 
 // PackFaceY and UnpackGhostY mirror the x versions for dimension y.
-func (f *Field) PackFaceY(dir int, doneX, doneZ bool) []float64 {
-	x0, x1 := sweepBounds(f.LX, f.G, doneX)
-	z0, z1 := sweepBounds(f.LZ, f.G, doneZ)
-	out := make([]float64, 0, f.G*(x1-x0)*(z1-z0))
-	for k := z0; k < z1; k++ {
-		for g := 0; g < f.G; g++ {
-			j := g
-			if dir > 0 {
-				j = f.LY - f.G + g
-			}
-			for i := x0; i < x1; i++ {
-				out = append(out, f.At(i, j, k))
-			}
-		}
-	}
-	return out
+func (f *Field) PackFaceY(dst []float64, dir int, doneX, doneZ bool) []float64 {
+	return f.pack(dst, f.face(1, dir, false, [3]bool{doneX, false, doneZ}))
 }
 
 // UnpackGhostY stores a received y-face into ghosts.
 func (f *Field) UnpackGhostY(dir int, doneX, doneZ bool, data []float64) {
-	x0, x1 := sweepBounds(f.LX, f.G, doneX)
-	z0, z1 := sweepBounds(f.LZ, f.G, doneZ)
-	idx := 0
-	for k := z0; k < z1; k++ {
-		for g := 0; g < f.G; g++ {
-			j := -f.G + g
-			if dir > 0 {
-				j = f.LY + g
-			}
-			for i := x0; i < x1; i++ {
-				f.Set(i, j, k, data[idx])
-				idx++
-			}
-		}
-	}
+	f.unpack(f.face(1, dir, true, [3]bool{doneX, false, doneZ}), data)
 }
 
 // PackFaceZ and UnpackGhostZ mirror the x versions for dimension z.
-func (f *Field) PackFaceZ(dir int, doneX, doneY bool) []float64 {
-	x0, x1 := sweepBounds(f.LX, f.G, doneX)
-	y0, y1 := sweepBounds(f.LY, f.G, doneY)
-	out := make([]float64, 0, f.G*(x1-x0)*(y1-y0))
-	for g := 0; g < f.G; g++ {
-		k := g
-		if dir > 0 {
-			k = f.LZ - f.G + g
-		}
-		for j := y0; j < y1; j++ {
-			for i := x0; i < x1; i++ {
-				out = append(out, f.At(i, j, k))
-			}
-		}
-	}
-	return out
+func (f *Field) PackFaceZ(dst []float64, dir int, doneX, doneY bool) []float64 {
+	return f.pack(dst, f.face(2, dir, false, [3]bool{doneX, doneY, false}))
 }
 
 // UnpackGhostZ stores a received z-face into ghosts.
 func (f *Field) UnpackGhostZ(dir int, doneX, doneY bool, data []float64) {
-	x0, x1 := sweepBounds(f.LX, f.G, doneX)
-	y0, y1 := sweepBounds(f.LY, f.G, doneY)
-	idx := 0
-	for g := 0; g < f.G; g++ {
-		k := -f.G + g
-		if dir > 0 {
-			k = f.LZ + g
-		}
-		for j := y0; j < y1; j++ {
-			for i := x0; i < x1; i++ {
-				f.Set(i, j, k, data[idx])
-				idx++
-			}
-		}
-	}
+	f.unpack(f.face(2, dir, true, [3]bool{doneX, doneY, false}), data)
 }

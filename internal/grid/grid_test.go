@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -102,7 +104,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	f.FillInterior(func(i, j, k int) float64 { return float64(100*i + 10*j + k) })
 	// Low X face packed then unpacked into high ghosts must land the
 	// interior low cells at i = LX..LX+G-1.
-	face := f.PackFaceX(-1, false, false)
+	face := f.PackFaceX(nil, -1, false, false)
 	if want := 2 * 4 * 4; len(face) != want {
 		t.Fatalf("face length %d, want %d", len(face), want)
 	}
@@ -118,16 +120,41 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
+// periodic returns the value of a periodic nx×ny×nz global field whose
+// cells carry their wrapped coordinates, offset by base.
+func periodic(nx, ny, nz int, base float64) func(i, j, k int) float64 {
+	return func(i, j, k int) float64 {
+		i = ((i % nx) + nx) % nx
+		j = ((j % ny) + ny) % ny
+		k = ((k % nz) + nz) % nz
+		return base + float64(i*10000+j*100+k)
+	}
+}
+
+// ghostMismatch compares every cell of a rank's field, ghosts included,
+// with the global field and describes the first difference, or returns
+// "" when all match.
+func ghostMismatch(d Decomp, rank int, f *Field, global func(i, j, k int) float64) string {
+	ox, oy, oz := d.GlobalOrigin(rank)
+	g := f.G
+	for k := -g; k < f.LZ+g; k++ {
+		for j := -g; j < f.LY+g; j++ {
+			for i := -g; i < f.LX+g; i++ {
+				want := global(ox+i, oy+j, oz+k)
+				if got := f.At(i, j, k); got != want {
+					return fmt.Sprintf("rank=%d cell (%d,%d,%d) = %g, want %g", rank, i, j, k, got, want)
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // TestExchangeMatchesGlobalPeriodic is the key correctness test: after a
 // ghost exchange, every ghost cell must equal the periodic global field.
 func TestExchangeMatchesGlobalPeriodic(t *testing.T) {
 	const nx, ny, nz, g = 12, 12, 12, 2
-	global := func(i, j, k int) float64 {
-		i = ((i % nx) + nx) % nx
-		j = ((j % ny) + ny) % ny
-		k = ((k % nz) + nz) % nz
-		return float64(i*10000 + j*100 + k)
-	}
+	global := periodic(nx, ny, nz, 0)
 	for _, p := range []int{1, 2, 4, 8} {
 		d, err := NewDecomp(p, nx, ny, nz)
 		if err != nil {
@@ -140,22 +167,96 @@ func TestExchangeMatchesGlobalPeriodic(t *testing.T) {
 			f.FillInterior(func(i, j, k int) float64 { return global(ox+i, oy+j, oz+k) })
 			ex := &Exchanger{Decomp: d, Rank: r, NomScale: 1}
 			ex.Exchange(f)
-			for k := -g; k < lz+g; k++ {
-				for j := -g; j < ly+g; j++ {
-					for i := -g; i < lx+g; i++ {
-						want := global(ox+i, oy+j, oz+k)
-						if got := f.At(i, j, k); got != want {
-							t.Errorf("p=%d rank=%d cell (%d,%d,%d) = %g, want %g",
-								p, r.ID(), i, j, k, got, want)
-							return
-						}
-					}
-				}
+			if msg := ghostMismatch(d, r.ID(), f, global); msg != "" {
+				t.Errorf("p=%d %s", p, msg)
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestExchangeRecycledBuffers repeats exchanges of two fields with
+// poison-on-put enabled. Ghost faces travel in pooled buffers that the
+// receiver frees after unpacking; a face read after its buffer went back
+// to the pool, or a buffer recycled while a peer still owns it, would
+// leave PoisonValue NaNs or a stale round's values in the ghosts.
+func TestExchangeRecycledBuffers(t *testing.T) {
+	defer simmpi.SetPoisonPutsForTest(simmpi.SetPoisonPutsForTest(true))
+	const g, rounds = 2, 5
+	// 13×10×9 splits unevenly, so neighbouring ranks differ in extent.
+	for _, n := range [][3]int{{12, 12, 12}, {13, 10, 9}} {
+		for _, p := range []int{1, 2, 4, 8} {
+			d, err := NewDecomp(p, n[0], n[1], n[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := simmpi.Config{Machine: machine.Jaguar, Procs: p}
+			_, err = simmpi.RunContext(context.Background(), cfg, func(r *simmpi.Rank) {
+				lx, ly, lz := d.LocalExtent(r.ID())
+				ox, oy, oz := d.GlobalOrigin(r.ID())
+				a := NewField(lx, ly, lz, g)
+				b := NewField(lx, ly, lz, g)
+				ex := &Exchanger{Decomp: d, Rank: r, NomScale: 1}
+				for round := 0; round < rounds; round++ {
+					ga := periodic(n[0], n[1], n[2], float64(2*round)*1e6)
+					gb := periodic(n[0], n[1], n[2], float64(2*round+1)*1e6)
+					a.FillInterior(func(i, j, k int) float64 { return ga(ox+i, oy+j, oz+k) })
+					b.FillInterior(func(i, j, k int) float64 { return gb(ox+i, oy+j, oz+k) })
+					ex.Exchange(a, b)
+					for fi, c := range []struct {
+						f      *Field
+						global func(i, j, k int) float64
+					}{{a, ga}, {b, gb}} {
+						if msg := ghostMismatch(d, r.ID(), c.f, c.global); msg != "" {
+							t.Errorf("grid %v p=%d round %d field %d: %s", n, p, round, fi, msg)
+							return
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestExchangeSteadyStateAllocs bounds the host allocations of a
+// steady-state exchange: faces are packed into pooled buffers and freed
+// by their receivers, so extra exchanges in a world must cost no new
+// allocations per rank.
+func TestExchangeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates per synchronization event")
+	}
+	const p = 8
+	d, err := NewDecomp(p, 16, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simmpi.Config{Machine: machine.Jaguar, Procs: p}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			_, err := simmpi.RunContext(context.Background(), cfg, func(r *simmpi.Rank) {
+				lx, ly, lz := d.LocalExtent(r.ID())
+				f := NewField(lx, ly, lz, 1)
+				ex := &Exchanger{Decomp: d, Rank: r, NomScale: 1}
+				for i := 0; i < n; i++ {
+					ex.Exchange(f)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const short, long = 10, 40
+	few, many := allocs(short), allocs(long)
+	if per := (many - few) / float64((long-short)*p); per >= 1 {
+		t.Errorf("steady-state exchange allocates %.2f times per rank (%g allocs for %d exchanges, %g for %d)",
+			per, few, short, many, long)
 	}
 }
 

@@ -200,12 +200,6 @@ func (r *Rank) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []fl
 	return r.Recv(src, recvTag)
 }
 
-// SendrecvNominal is Sendrecv with an explicit nominal size for both sides.
-func (r *Rank) SendrecvNominal(dst, sendTag int, data []float64, src, recvTag int, nomBytes float64) []float64 {
-	r.SendNominal(dst, sendTag, data, nomBytes)
-	return r.Recv(src, recvTag)
-}
-
 // Stats snapshots the rank's accounting (used by the report builder).
 type rankStats struct {
 	clock vtime.Seconds

@@ -312,27 +312,12 @@ func run(ctx context.Context, cmd string, opts experiments.Options, cli cliConfi
 		}
 		return writeArtifacts(cli, fig.ID, fig.CSV, fig.JSON)
 	}
-	figure := func(f func(context.Context, experiments.Options) (*experiments.Figure, error)) error {
-		fig, err := f(ctx, opts)
-		if err != nil {
-			return err
-		}
-		return renderFigure(fig)
-	}
 	figureSet := func(figs []*experiments.Figure) error {
 		for _, fig := range figs {
 			if err := renderFigure(fig); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	study := func(id string) error {
-		study, rows, err := experiments.RunStudyByID(ctx, opts, id)
-		if err != nil {
-			return err
-		}
-		experiments.RenderOptResults(out, study.Title, rows)
 		return nil
 	}
 
@@ -357,18 +342,12 @@ func run(ctx context.Context, cmd string, opts experiments.Options, cli cliConfi
 		// only the JSON form (which carries the rendered output) is written.
 		return writeArtifacts(cli, "Figure 1", nil,
 			func(w io.Writer) error { return runner.WriteJSON(w, results) })
-	case "fig2":
-		return figure(experiments.Fig2GTC)
-	case "fig3":
-		return figure(experiments.Fig3ELBM3D)
-	case "fig4":
-		return figure(experiments.Fig4Cactus)
-	case "fig5":
-		return figure(experiments.Fig5BeamBeam3D)
-	case "fig6":
-		return figure(experiments.Fig6PARATEC)
-	case "fig7":
-		return figure(experiments.Fig7HyperCLaw)
+	case "fig2", "fig3", "fig4", "fig5", "fig6", "fig7":
+		fig, err := experiments.FigureN(ctx, opts, int(cmd[3]-'0'))
+		if err != nil {
+			return err
+		}
+		return renderFigure(fig)
 	case "figures":
 		figs, err := experiments.AllFigures(ctx, opts)
 		if err != nil {
@@ -409,12 +388,12 @@ func run(ctx context.Context, cmd string, opts experiments.Options, cli cliConfi
 		}
 		sum.Render(out)
 		return writeArtifacts(cli, "Figure 8", sum.CSV, sum.JSON)
-	case "gtcopt":
-		return study("gtcopt")
-	case "amropt":
-		return study("amropt")
-	case "vnode":
-		return study("vnode")
+	case "gtcopt", "amropt", "vnode":
+		study, rows, err := experiments.RunStudyByID(ctx, opts, cmd)
+		if err != nil {
+			return err
+		}
+		experiments.RenderOptResults(out, study.Title, rows)
 	case "apexmap":
 		results, err := experiments.ApexMapStudy(ctx, opts)
 		if err != nil {

@@ -19,6 +19,7 @@
 package apexmap
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -88,12 +89,12 @@ type Result struct {
 }
 
 // Run executes the benchmark and returns the sustained access rate.
-func Run(sim simmpi.Config, cfg Config) (Result, error) {
+func Run(ctx context.Context, sim simmpi.Config, cfg Config) (Result, error) {
 	if err := cfg.validate(sim.Procs); err != nil {
 		return Result{}, err
 	}
 	remote := make([]float64, sim.Procs)
-	rep, err := simmpi.Run(sim, func(r *simmpi.Rank) {
+	rep, err := simmpi.RunContext(ctx, sim, func(r *simmpi.Rank) {
 		remote[r.ID()] = body(r, cfg)
 	})
 	if err != nil {
@@ -203,14 +204,14 @@ func avgBytes(parts [][]float64) float64 {
 
 // Sweep runs the locality plane (the Apex-MAP characteristic surface) for
 // a machine: every (alpha, L) combination at the given concurrency.
-func Sweep(spec machine.Spec, procs int, alphas []float64, ls []int) ([]Result, error) {
+func Sweep(ctx context.Context, spec machine.Spec, procs int, alphas []float64, ls []int) ([]Result, error) {
 	var out []Result
 	for _, a := range alphas {
 		for _, l := range ls {
 			cfg := DefaultConfig()
 			cfg.Alpha = a
 			cfg.L = l
-			res, err := Run(simmpi.Config{Machine: spec, Procs: procs}, cfg)
+			res, err := Run(ctx, simmpi.Config{Machine: spec, Procs: procs}, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,8 @@
 package apexmap
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/machine"
@@ -34,7 +36,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestRunProducesRate(t *testing.T) {
-	res, err := Run(simmpi.Config{Machine: machine.Jaguar, Procs: 8}, cfg())
+	res, err := Run(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: 8}, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestLowAlphaIsMoreLocal(t *testing.T) {
 	frac := func(alpha float64) float64 {
 		c := cfg()
 		c.Alpha = alpha
-		res, err := Run(simmpi.Config{Machine: machine.Bassi, Procs: 8}, c)
+		res, err := Run(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 8}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +71,7 @@ func TestLocalityHelpsPerformance(t *testing.T) {
 	rate := func(alpha float64) float64 {
 		c := cfg()
 		c.Alpha = alpha
-		res, err := Run(simmpi.Config{Machine: machine.BGL, Procs: 16}, c)
+		res, err := Run(t.Context(), simmpi.Config{Machine: machine.BGL, Procs: 16}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +88,7 @@ func TestSpatialBlocksAmortiseLatency(t *testing.T) {
 	perElem := func(l int) float64 {
 		c := cfg()
 		c.L = l
-		res, err := Run(simmpi.Config{Machine: machine.Jacquard, Procs: 8}, c)
+		res, err := Run(t.Context(), simmpi.Config{Machine: machine.Jacquard, Procs: 8}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +100,7 @@ func TestSpatialBlocksAmortiseLatency(t *testing.T) {
 }
 
 func TestSweepCoversPlane(t *testing.T) {
-	res, err := Sweep(machine.Phoenix, 8, []float64{0.1, 1.0}, []int{1, 16})
+	res, err := Sweep(t.Context(), machine.Phoenix, 8, []float64{0.1, 1.0}, []int{1, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestSweepCoversPlane(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() float64 {
-		res, err := Run(simmpi.Config{Machine: machine.Jaguar, Procs: 8}, cfg())
+		res, err := Run(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: 8}, cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,5 +124,14 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+func TestRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	res, err := Run(ctx, simmpi.Config{Machine: machine.Jaguar, Procs: 8}, cfg())
+	if !errors.Is(err, context.Canceled) || res != (Result{}) {
+		t.Fatalf("pre-cancelled Run = %+v, %v; want no result and context.Canceled", res, err)
 	}
 }

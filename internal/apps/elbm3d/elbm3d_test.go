@@ -73,7 +73,7 @@ func TestEntropicAlphaBounded(t *testing.T) {
 }
 
 func TestConservationOverSteps(t *testing.T) {
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 		st, err := NewState(r, smallCfg(5))
 		if err != nil {
 			panic(err)
@@ -98,7 +98,7 @@ func TestConservationOverSteps(t *testing.T) {
 }
 
 func TestUniformStateIsFixedPoint(t *testing.T) {
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: 1}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: 1}, func(r *simmpi.Rank) {
 		cfg := smallCfg(3)
 		st, err := NewState(r, cfg)
 		if err != nil {
@@ -133,7 +133,7 @@ func TestUniformStateIsFixedPoint(t *testing.T) {
 func TestKineticEnergyDecays(t *testing.T) {
 	// The entropic collision is dissipative: shear-layer kinetic energy
 	// must not grow.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 		st, err := NewState(r, smallCfg(8))
 		if err != nil {
 			panic(err)
@@ -161,7 +161,7 @@ func TestKineticEnergyDecays(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	probe := func(p int) float64 {
 		var val float64
-		_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
+		_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
 			cfg := smallCfg(4)
 			st, err := NewState(r, cfg)
 			if err != nil {

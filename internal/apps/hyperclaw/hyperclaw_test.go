@@ -126,7 +126,7 @@ func TestPatchPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestHierarchyRefinesShockAndBubble(t *testing.T) {
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 2}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 2}, func(r *simmpi.Rank) {
 		st, err := NewState(r, tinyCfg())
 		if err != nil {
 			panic(err)
@@ -148,7 +148,7 @@ func TestMassConservedWithReflectingWalls(t *testing.T) {
 	// With solid walls nothing leaves the domain: the base-level mass
 	// integral (fine data averaged down) must be conserved to the
 	// accuracy of the unrefluxed coarse-fine coupling.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: 2}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: 2}, func(r *simmpi.Rank) {
 		cfg := tinyCfg()
 		cfg.BC = Reflect
 		cfg.Steps = 3
@@ -173,7 +173,7 @@ func TestMassConservedWithReflectingWalls(t *testing.T) {
 func TestSingleLevelMassExactlyConserved(t *testing.T) {
 	// Without refinement and with walls, the finite-volume update is
 	// exactly conservative.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: 2}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: 2}, func(r *simmpi.Rank) {
 		cfg := tinyCfg()
 		cfg.Ratios = nil
 		cfg.BC = Reflect
@@ -198,7 +198,7 @@ func TestSingleLevelMassExactlyConserved(t *testing.T) {
 
 func TestShockPropagatesRight(t *testing.T) {
 	// The density jump must move in +x over time.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 		cfg := tinyCfg()
 		cfg.Ratios = nil
 		cfg.Steps = 8
@@ -233,7 +233,7 @@ func TestShockPropagatesRight(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	probe := func(p int) float64 {
 		var v float64
-		_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
+		_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
 			cfg := tinyCfg()
 			cfg.Steps = 2
 			st, err := NewState(r, cfg)

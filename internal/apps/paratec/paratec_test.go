@@ -44,7 +44,7 @@ func TestBGLUsesSiliconSystem(t *testing.T) {
 }
 
 func TestOrthonormalityMaintained(t *testing.T) {
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 4}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 4}, func(r *simmpi.Rank) {
 		st, err := NewState(r, smallCfg())
 		if err != nil {
 			panic(err)
@@ -72,7 +72,7 @@ func TestOrthonormalityMaintained(t *testing.T) {
 }
 
 func TestEnergyDecreasesMonotonically(t *testing.T) {
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 2}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 2}, func(r *simmpi.Rank) {
 		cfg := smallCfg()
 		cfg.Iters = 6
 		st, err := NewState(r, cfg)
@@ -96,7 +96,7 @@ func TestEnergyDecreasesMonotonically(t *testing.T) {
 func TestGroundStateFindsWells(t *testing.T) {
 	// After enough iterations the lowest band concentrates in the
 	// attractive wells: its potential energy must be negative.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 		cfg := smallCfg()
 		cfg.Iters = 40
 		st, err := NewState(r, cfg)
@@ -121,7 +121,7 @@ func TestGroundStateFindsWells(t *testing.T) {
 func TestParallelMatchesSerialEnergy(t *testing.T) {
 	run := func(p int) float64 {
 		var e float64
-		_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
+		_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
 			cfg := smallCfg()
 			st, err := NewState(r, cfg)
 			if err != nil {

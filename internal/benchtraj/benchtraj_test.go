@@ -308,7 +308,7 @@ func TestPingPongAllocsBounded(t *testing.T) {
 	}
 	body := func() {
 		for _, m := range machine.All() {
-			if _, err := pingpong.Measure(m); err != nil {
+			if _, err := pingpong.Measure(t.Context(), m); err != nil {
 				t.Fatal(err)
 			}
 		}

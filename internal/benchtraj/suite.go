@@ -93,7 +93,7 @@ func benchTable1PingPong(ctx context.Context, b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, m := range machine.All() {
-			if _, err := pingpong.Measure(m); err != nil {
+			if _, err := pingpong.Measure(ctx, m); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -278,7 +278,7 @@ func benchGTCOptStudy(ctx context.Context, b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts := experiments.Options{Quick: true}
-		if _, err := experiments.GTCOptStudy(ctx, opts); err != nil {
+		if _, _, err := experiments.RunStudyByID(ctx, opts, "gtcopt"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func benchAMROptStudy(ctx context.Context, b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts := experiments.Options{Quick: true}
-		if _, err := experiments.AMROptStudy(ctx, opts); err != nil {
+		if _, _, err := experiments.RunStudyByID(ctx, opts, "amropt"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 func quick() Options { return Options{Quick: true, MaxProcs: 64} }
@@ -43,6 +46,41 @@ func TestTable1ReproducesPublishedColumns(t *testing.T) {
 	}
 }
 
+// TestTable1TracesWorlds checks that the Table 1 jobs run their worlds
+// under the job ctx: a trace on the caller's context must see one
+// latency and one bandwidth simmpi.world span per machine.
+func TestTable1TracesWorlds(t *testing.T) {
+	tr := obs.NewTrace(obs.NewID(), "table1")
+	if _, err := Table1(obs.ContextWithTrace(t.Context(), tr), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	worlds := map[any]int{}
+	for _, ev := range f.TraceEvents {
+		if ev.Name == "simmpi.world" {
+			worlds[ev.Args["machine"]]++
+		}
+	}
+	for _, m := range machine.All() {
+		if worlds[m.Name] != 2 {
+			t.Errorf("%s: %d simmpi.world spans, want 2 (latency, bandwidth); all: %v", m.Name, worlds[m.Name], worlds)
+		}
+	}
+}
+
 func TestTable2MatchesPaper(t *testing.T) {
 	rows := Table2()
 	if len(rows) != 6 {
@@ -65,7 +103,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestFig2GTCQuick(t *testing.T) {
-	fig, err := Fig2GTC(context.Background(), quick())
+	fig, err := FigureN(context.Background(), quick(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +124,7 @@ func TestFig2GTCQuick(t *testing.T) {
 func TestFig3ELBM3DQuick(t *testing.T) {
 	opts := quick()
 	opts.MaxProcs = 256
-	fig, err := Fig3ELBM3D(context.Background(), opts)
+	fig, err := FigureN(context.Background(), opts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +140,7 @@ func TestFig3ELBM3DQuick(t *testing.T) {
 }
 
 func TestFig4CactusQuick(t *testing.T) {
-	fig, err := Fig4Cactus(context.Background(), quick())
+	fig, err := FigureN(context.Background(), quick(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +154,7 @@ func TestFig4CactusQuick(t *testing.T) {
 }
 
 func TestFig5BeamBeam3DQuick(t *testing.T) {
-	fig, err := Fig5BeamBeam3D(context.Background(), quick())
+	fig, err := FigureN(context.Background(), quick(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +170,7 @@ func TestFig5BeamBeam3DQuick(t *testing.T) {
 }
 
 func TestFig6PARATECQuick(t *testing.T) {
-	fig, err := Fig6PARATEC(context.Background(), quick())
+	fig, err := FigureN(context.Background(), quick(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +189,7 @@ func TestFig6PARATECQuick(t *testing.T) {
 
 func TestFig7HyperCLawQuick(t *testing.T) {
 	opts := quick()
-	fig, err := Fig7HyperCLaw(context.Background(), opts)
+	fig, err := FigureN(context.Background(), opts, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +305,7 @@ func TestFig1CommToposQuick(t *testing.T) {
 }
 
 func TestGTCOptStudyQuick(t *testing.T) {
-	rows, err := GTCOptStudy(context.Background(), quick())
+	_, rows, err := RunStudyByID(context.Background(), quick(), "gtcopt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +325,7 @@ func TestGTCOptStudyQuick(t *testing.T) {
 }
 
 func TestAMROptStudyQuick(t *testing.T) {
-	rows, err := AMROptStudy(context.Background(), quick())
+	_, rows, err := RunStudyByID(context.Background(), quick(), "amropt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +338,7 @@ func TestAMROptStudyQuick(t *testing.T) {
 }
 
 func TestVirtualNodeStudyQuick(t *testing.T) {
-	rows, err := VirtualNodeStudy(context.Background(), quick())
+	_, rows, err := RunStudyByID(context.Background(), quick(), "vnode")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,15 +149,6 @@ func (sf scalingFigure) spec(opts Options) (*figureSpec, error) {
 	}, nil
 }
 
-// build resolves and schedules the figure.
-func (sf scalingFigure) build(ctx context.Context, opts Options) (*Figure, error) {
-	fs, err := sf.spec(opts)
-	if err != nil {
-		return nil, err
-	}
-	return fs.build(ctx, opts)
-}
-
 // capped returns full, or quick when the -quick cap is in effect.
 func capped(opts Options, full, quick int) int {
 	if opts.Quick {
@@ -262,64 +253,19 @@ var paperFigures = []scalingFigure{
 	},
 }
 
-// paperFigure finds a declaration by figure ID.
-func paperFigure(id string) (scalingFigure, error) {
-	for _, sf := range paperFigures {
-		if sf.id == id {
-			return sf, nil
-		}
-	}
-	return scalingFigure{}, fmt.Errorf("experiments: unknown figure %q", id)
-}
-
-// buildPaperFigure regenerates one of Figures 2–7 by ID.
-func buildPaperFigure(ctx context.Context, opts Options, id string) (*Figure, error) {
-	sf, err := paperFigure(id)
-	if err != nil {
-		return nil, err
-	}
-	return sf.build(ctx, opts)
-}
-
-// Fig2GTC regenerates Figure 2.
-func Fig2GTC(ctx context.Context, opts Options) (*Figure, error) {
-	return buildPaperFigure(ctx, opts, "Figure 2")
-}
-
-// Fig3ELBM3D regenerates Figure 3.
-func Fig3ELBM3D(ctx context.Context, opts Options) (*Figure, error) {
-	return buildPaperFigure(ctx, opts, "Figure 3")
-}
-
-// Fig4Cactus regenerates Figure 4.
-func Fig4Cactus(ctx context.Context, opts Options) (*Figure, error) {
-	return buildPaperFigure(ctx, opts, "Figure 4")
-}
-
-// Fig5BeamBeam3D regenerates Figure 5.
-func Fig5BeamBeam3D(ctx context.Context, opts Options) (*Figure, error) {
-	return buildPaperFigure(ctx, opts, "Figure 5")
-}
-
-// Fig6PARATEC regenerates Figure 6.
-func Fig6PARATEC(ctx context.Context, opts Options) (*Figure, error) {
-	return buildPaperFigure(ctx, opts, "Figure 6")
-}
-
-// Fig7HyperCLaw regenerates Figure 7.
-func Fig7HyperCLaw(ctx context.Context, opts Options) (*Figure, error) {
-	return buildPaperFigure(ctx, opts, "Figure 7")
-}
-
 // FigureN regenerates one of the paper's per-application scaling
-// figures (2–7) by number — the CLI-free entry point internal/server
-// dispatches /v1/figures/{n} through. Figure 8 is a summary, not a
-// scaling figure; use Fig8Summary.
+// figures (2–7) by number — the one entry point the CLI, internal/server
+// and the job executor all dispatch through. Figure 8 is a summary, not
+// a scaling figure; use Fig8Summary.
 func FigureN(ctx context.Context, opts Options, n int) (*Figure, error) {
 	if n < 2 || n > 7 {
 		return nil, fmt.Errorf("experiments: no scaling figure %d (the paper's scaling studies are Figures 2-7)", n)
 	}
-	return buildPaperFigure(ctx, opts, fmt.Sprintf("Figure %d", n))
+	fs, err := paperFigures[n-2].spec(opts)
+	if err != nil {
+		return nil, err
+	}
+	return fs.build(ctx, opts)
 }
 
 // figureSpecs resolves Figures 2–7 in order.

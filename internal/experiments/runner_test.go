@@ -11,11 +11,11 @@ import (
 	"repro/internal/runner"
 )
 
-// renderFig builds a figure through the given pool and renders it.
-func renderFig(t *testing.T, f func(context.Context, Options) (*Figure, error), pool *runner.Pool) string {
+// renderFig builds figure n through the given pool and renders it.
+func renderFig(t *testing.T, n int, pool *runner.Pool) string {
 	t.Helper()
 	opts := Options{Quick: true, MaxProcs: 128, Runner: pool}
-	fig, err := f(context.Background(), opts)
+	fig, err := FigureN(context.Background(), opts, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func renderFig(t *testing.T, f func(context.Context, Options) (*Figure, error), 
 // the point cross-product across workers must render byte-identically
 // to the serial path.
 func TestFig2ParallelMatchesSerial(t *testing.T) {
-	serial := renderFig(t, Fig2GTC, &runner.Pool{Workers: 1})
-	parallel := renderFig(t, Fig2GTC, &runner.Pool{Workers: 8})
+	serial := renderFig(t, 2, &runner.Pool{Workers: 1})
+	parallel := renderFig(t, 2, &runner.Pool{Workers: 8})
 	if serial != parallel {
 		t.Fatalf("parallel Figure 2 diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
 	}
@@ -60,14 +60,11 @@ func TestAllFiguresPooledMatchesPerFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	singles := []func(context.Context, Options) (*Figure, error){
-		Fig2GTC, Fig3ELBM3D, Fig4Cactus, Fig5BeamBeam3D, Fig6PARATEC, Fig7HyperCLaw,
+	if len(pooled) != 6 {
+		t.Fatalf("%d pooled figures, want 6", len(pooled))
 	}
-	if len(pooled) != len(singles) {
-		t.Fatalf("%d pooled figures, want %d", len(pooled), len(singles))
-	}
-	for i, f := range singles {
-		alone, err := f(context.Background(), Options{Quick: true, MaxProcs: 64})
+	for i := range pooled {
+		alone, err := FigureN(context.Background(), Options{Quick: true, MaxProcs: 64}, i+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,12 +136,12 @@ func TestFigureCacheSkipsResimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := &runner.Pool{Workers: 4, Cache: cache}
-	first := renderFig(t, Fig3ELBM3D, cold)
+	first := renderFig(t, 3, cold)
 	if s := cold.Stats(); s.Hits != 0 || s.Simulated == 0 {
 		t.Fatalf("cold stats %+v, want all points simulated", s)
 	}
 	warm := &runner.Pool{Workers: 4, Cache: cache}
-	second := renderFig(t, Fig3ELBM3D, warm)
+	second := renderFig(t, 3, warm)
 	if s := warm.Stats(); s.Simulated != 0 || s.Hits == 0 {
 		t.Fatalf("warm stats %+v, want zero re-simulated points", s)
 	}
@@ -157,7 +154,7 @@ func TestFigureCacheSkipsResimulation(t *testing.T) {
 // point appears in the CSV and JSON forms.
 func TestFigureArtifacts(t *testing.T) {
 	opts := Options{Quick: true, MaxProcs: 64}
-	fig, err := Fig3ELBM3D(context.Background(), opts)
+	fig, err := FigureN(context.Background(), opts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func Table1(ctx context.Context, opts Options) ([]Table1Row, error) {
 	for i, spec := range specs {
 		jobs[i] = runner.Job{
 			Key: runner.Key("Table 1", spec),
-			Run: func(context.Context) (runner.Result, error) {
+			Run: func(ctx context.Context) (runner.Result, error) {
 				st := stream.Measure(spec, 1<<20)
-				pp, err := pingpong.Measure(spec)
+				pp, err := pingpong.Measure(ctx, spec)
 				if err != nil {
 					return runner.Result{}, fmt.Errorf("table1 %s: %w", spec.Name, err)
 				}

@@ -13,7 +13,7 @@ import (
 func runParallel3D(t *testing.T, p, nx, ny, nz int) (float64, *simmpi.Report) {
 	t.Helper()
 	errs := make([]float64, p)
-	rep, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
+	rep, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
 		plan, err := NewParallel3D(r, r.World(), nx, ny, nz, nx, ny, nz)
 		if err != nil {
 			panic(err)
@@ -90,7 +90,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 
 	got := make([]complex128, nx*ny*nz) // gathered spectrum, x-fastest
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: p}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: p}, func(r *simmpi.Rank) {
 		plan, err := NewParallel3D(r, r.World(), nx, ny, nz, nx, ny, nz)
 		if err != nil {
 			panic(err)
@@ -137,7 +137,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestParallel3DValidation(t *testing.T) {
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 3}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: 3}, func(r *simmpi.Rank) {
 		if _, err := NewParallel3D(r, r.World(), 8, 8, 8, 8, 8, 8); err == nil {
 			panic("3 ranks dividing 8 accepted")
 		}
@@ -164,7 +164,7 @@ func TestParallel3DChargesCommunication(t *testing.T) {
 // increases charged time without changing the computed numbers.
 func TestNominalScalingCharges(t *testing.T) {
 	run := func(nomScale int) *simmpi.Report {
-		rep, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: 4}, func(r *simmpi.Rank) {
+		rep, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: 4}, func(r *simmpi.Rank) {
 			plan, err := NewParallel3D(r, r.World(), 8, 8, 8, 8*nomScale, 8*nomScale, 8*nomScale)
 			if err != nil {
 				panic(err)

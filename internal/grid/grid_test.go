@@ -160,7 +160,7 @@ func TestExchangeMatchesGlobalPeriodic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
+		_, err = simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
 			lx, ly, lz := d.LocalExtent(r.ID())
 			ox, oy, oz := d.GlobalOrigin(r.ID())
 			f := NewField(lx, ly, lz, g)
@@ -264,7 +264,7 @@ func TestExchangeChargesNominalScale(t *testing.T) {
 	const p = 8
 	run := func(scale float64) float64 {
 		d, _ := NewDecomp(p, 16, 16, 16)
-		rep, err := simmpi.Run(simmpi.Config{Machine: machine.BGL, Procs: p}, func(r *simmpi.Rank) {
+		rep, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.BGL, Procs: p}, func(r *simmpi.Rank) {
 			lx, ly, lz := d.LocalExtent(r.ID())
 			f := NewField(lx, ly, lz, 1)
 			ex := &Exchanger{Decomp: d, Rank: r, NomScale: scale}
@@ -283,7 +283,7 @@ func TestExchangeChargesNominalScale(t *testing.T) {
 func TestExchangeMultipleFields(t *testing.T) {
 	const p = 2
 	d, _ := NewDecomp(p, 8, 4, 4)
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: p}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: machine.Bassi, Procs: p}, func(r *simmpi.Rank) {
 		lx, ly, lz := d.LocalExtent(r.ID())
 		a := NewField(lx, ly, lz, 1)
 		b := NewField(lx, ly, lz, 1)

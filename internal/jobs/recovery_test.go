@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"log/slog"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -147,6 +148,15 @@ func TestRecoveryIdempotentAcrossRestarts(t *testing.T) {
 	}
 }
 
+// countingHandler is a slog.Handler that counts the records logged
+// through it.
+type countingHandler struct{ n atomic.Int64 }
+
+func (h *countingHandler) Enabled(context.Context, slog.Level) bool  { return true }
+func (h *countingHandler) Handle(context.Context, slog.Record) error { h.n.Add(1); return nil }
+func (h *countingHandler) WithAttrs([]slog.Attr) slog.Handler        { return h }
+func (h *countingHandler) WithGroup(string) slog.Handler             { return h }
+
 // TestRecoverySkipsCorruptLogs: one broken WAL must not take down the
 // queue or the healthy jobs around it.
 func TestRecoverySkipsCorruptLogs(t *testing.T) {
@@ -163,15 +173,12 @@ func TestRecoverySkipsCorruptLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var warned atomic.Int64
-	q2, err := Open(dir, Config{
-		Executor: &fakeExec{},
-		Warnf:    func(string, ...any) { warned.Add(1) },
-	})
+	warned := &countingHandler{}
+	q2, err := Open(dir, Config{Executor: &fakeExec{}, Log: slog.New(warned)})
 	if err != nil {
 		t.Fatalf("a corrupt log made Open fatal: %v", err)
 	}
-	if warned.Load() == 0 {
+	if warned.n.Load() == 0 {
 		t.Fatal("corrupt log skipped silently")
 	}
 	jobs := q2.List(Filter{})

@@ -21,8 +21,9 @@ import (
 //  3. Contexts are not stored in struct fields; they are passed
 //     per-call, so a value's lifetime can never outlive its deadline.
 //
-// Deliberate context-free compatibility entry points (simmpi.Run wrapping
-// RunContext) annotate with //petavet:ignore ctxfirst <why>.
+// Deliberate exceptions (the drain deadline petasim serve starts after
+// its parent ctx is already canceled) annotate with
+// //petavet:ignore ctxfirst <why>.
 var CtxFirst = &analysis.Analyzer{
 	Name: "ctxfirst",
 	Doc: "no context.Background/TODO outside main and tests; a function receiving a " +

@@ -1,6 +1,8 @@
 package pingpong
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -18,7 +20,7 @@ func TestLatencyReproducesTable1(t *testing.T) {
 	}
 	got := make(map[string]float64)
 	for _, m := range machine.All() {
-		lat, err := Latency(m)
+		lat, err := Latency(t.Context(), m)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -44,7 +46,7 @@ func TestBandwidthReproducesTable1(t *testing.T) {
 		"BG/L": 0.16, "BGW": 0.16, "Phoenix": 2.9,
 	}
 	for _, m := range machine.All() {
-		bw, err := Bandwidth(m, 16<<20)
+		bw, err := Bandwidth(t.Context(), m, 16<<20)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -56,11 +58,11 @@ func TestBandwidthReproducesTable1(t *testing.T) {
 }
 
 func TestBandwidthGrowsWithMessageSize(t *testing.T) {
-	small, err := Bandwidth(machine.Jaguar, 1<<10)
+	small, err := Bandwidth(t.Context(), machine.Jaguar, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Bandwidth(machine.Jaguar, 16<<20)
+	big, err := Bandwidth(t.Context(), machine.Jaguar, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +72,20 @@ func TestBandwidthGrowsWithMessageSize(t *testing.T) {
 }
 
 func TestMeasure(t *testing.T) {
-	res, err := Measure(machine.BGL)
+	res, err := Measure(t.Context(), machine.BGL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Machine != "BG/L" || res.LatencyUs <= 0 || res.BandwidthGBs <= 0 {
 		t.Errorf("bad result: %+v", res)
+	}
+}
+
+func TestMeasureCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	res, err := Measure(ctx, machine.BGL)
+	if !errors.Is(err, context.Canceled) || res != (Result{}) {
+		t.Fatalf("pre-cancelled Measure = %+v, %v; want no result and context.Canceled", res, err)
 	}
 }

@@ -330,9 +330,6 @@ type Pool struct {
 	// Mem, if non-nil (and Store is nil), is the fast tier: consulted
 	// first, filled on disk hits and simulated points.
 	Mem *MemCache
-	// Warnf, if non-nil, receives the pool's non-fatal warnings (e.g.
-	// the first failed cache write). Nil writes to os.Stderr.
-	Warnf func(format string, args ...any)
 
 	stats      counters
 	parent     *Pool // non-nil for views; counts also flow up
@@ -387,14 +384,14 @@ func (p *Pool) StoreStats() (StoreStats, bool) {
 func (p *Pool) Stats() Stats { return p.stats.stats() }
 
 // View returns a pool that shares p's worker count, result store,
-// warning sink, and in-flight deduplication group, but accumulates its
+// warn-once state, and in-flight deduplication group, but accumulates its
 // own Stats. A long-running server gives each request a view of one
 // shared pool: the request observes exactly what was simulated or
 // served on its behalf, while the root pool keeps lifetime totals
 // (every count recorded through a view is added to its parents too).
 func (p *Pool) View() *Pool {
 	return &Pool{
-		Workers: p.Workers, Store: p.storeFor(), Cache: p.Cache, Mem: p.Mem, Warnf: p.Warnf,
+		Workers: p.Workers, Store: p.storeFor(), Cache: p.Cache, Mem: p.Mem,
 		flight: p.flightFor(), sem: p.semFor(), parent: p,
 	}
 }
@@ -440,10 +437,6 @@ func (p *Pool) warnPutFailure(err error) {
 		root = root.parent
 	}
 	root.putWarn.Do(func() {
-		if root.Warnf != nil {
-			root.Warnf("runner: cache write failed, continuing without persisting results: %v", err)
-			return
-		}
 		defaultLog.Warn(fmt.Sprintf("runner: cache write failed, continuing without persisting results: %v", err))
 	})
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"os"
 	"strings"
 	"sync"
@@ -20,6 +21,30 @@ func keyedJob(key string, execs *atomic.Int64) Job {
 	}}
 }
 
+// countingHandler is a slog.Handler that keeps the message of every
+// record logged through it.
+type countingHandler struct {
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (h *countingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *countingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *countingHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h *countingHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.msgs = append(h.msgs, r.Message)
+	return nil
+}
+
+func (h *countingHandler) messages() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]string(nil), h.msgs...)
+}
+
 func TestPutFailureWarnsOnceAndContinues(t *testing.T) {
 	cache := testCache(t)
 	// Destroy the cache directory after opening: every Put now fails the
@@ -27,13 +52,11 @@ func TestPutFailureWarnsOnceAndContinues(t *testing.T) {
 	if err := os.RemoveAll(cache.Dir()); err != nil {
 		t.Fatal(err)
 	}
-	var warnings []string
-	var mu sync.Mutex
-	p := &Pool{Workers: 4, Cache: cache, Warnf: func(format string, args ...any) {
-		mu.Lock()
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}}
+	h := &countingHandler{}
+	prev := defaultLog
+	defaultLog = slog.New(h)
+	t.Cleanup(func() { defaultLog = prev })
+	p := &Pool{Workers: 4, Cache: cache}
 	var execs atomic.Int64
 	jobs := make([]Job, 8)
 	for i := range jobs {
@@ -51,6 +74,7 @@ func TestPutFailureWarnsOnceAndContinues(t *testing.T) {
 			t.Fatalf("result %d carries %q", i, r.Output)
 		}
 	}
+	warnings := h.messages()
 	if len(warnings) != 1 {
 		t.Fatalf("%d warnings, want exactly 1: %v", len(warnings), warnings)
 	}
@@ -63,7 +87,8 @@ func TestPutFailureWarnsOnceAndContinues(t *testing.T) {
 }
 
 func TestPutFailureDefaultWarnGoesToStderrOnly(t *testing.T) {
-	// With no Warnf the pool must still not fail the job.
+	// Warning through the default stderr logger must still not fail
+	// the job.
 	cache := testCache(t)
 	if err := os.RemoveAll(cache.Dir()); err != nil {
 		t.Fatal(err)

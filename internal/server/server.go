@@ -546,17 +546,12 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	fig.JSON(w)
 }
 
-// memInfo reports the memory tier's fill level in /v1/stats.
-type memInfo struct {
-	Len int `json:"len"`
-	Cap int `json:"cap"`
-}
-
 // statsSchemaVersion versions the /v1/stats body shape. Bump on any
 // breaking change to the response's sections.
 // v1: the four-section form — pool (stats/workers/mem_cache/
 // disk_cache_dir), store tiers, job queue, obs — plus this field.
-const statsSchemaVersion = 1
+// v2: mem_cache/disk_cache_dir dropped; the store tree reports each tier's fill.
+const statsSchemaVersion = 2
 
 // obsInfo is the obs section of /v1/stats: the trace sink's health.
 type obsInfo struct {
@@ -568,7 +563,7 @@ type obsInfo struct {
 }
 
 // statsResponse is the body of /v1/stats, in four sections: the pool
-// (Stats/Workers/Mem/DiskDir), the result-store tree Store (per tier or
+// (Stats/Workers), the result-store tree Store (per tier or
 // per shard: gets/hits/puts/backfills/fill), the job queue Jobs
 // (by-state counts and lifetime rejection/retry counters), and Obs (the
 // trace sink). Schema versions the shape.
@@ -576,8 +571,6 @@ type statsResponse struct {
 	Schema  int                `json:"schema"`
 	Stats   runner.Stats       `json:"stats"`
 	Workers int                `json:"workers"`
-	Mem     *memInfo           `json:"mem_cache,omitempty"`
-	DiskDir string             `json:"disk_cache_dir,omitempty"`
 	Store   *runner.StoreStats `json:"store,omitempty"`
 	Jobs    *jobs.QueueStats   `json:"jobs,omitempty"`
 	Obs     *obsInfo           `json:"obs,omitempty"`
@@ -585,12 +578,6 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{Schema: statsSchemaVersion, Stats: s.pool.Stats(), Workers: s.pool.Workers}
-	if s.pool.Mem != nil {
-		resp.Mem = &memInfo{Len: s.pool.Mem.Len(), Cap: s.pool.Mem.Cap()}
-	}
-	if s.pool.Cache != nil {
-		resp.DiskDir = s.pool.Cache.Dir()
-	}
 	if ss, ok := s.pool.StoreStats(); ok {
 		resp.Store = &ss
 	}

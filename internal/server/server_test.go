@@ -234,22 +234,49 @@ func TestFigureEndpointMatchesDirectBuild(t *testing.T) {
 	}
 }
 
+// storeTier finds the named tier in a /v1/stats store tree.
+func storeTier(st *runner.StoreStats, name string) *runner.StoreStats {
+	if st == nil || st.Name == name {
+		return st
+	}
+	for i := range st.Tiers {
+		if found := storeTier(&st.Tiers[i], name); found != nil {
+			return found
+		}
+	}
+	return nil
+}
+
 func TestStatsAndHealthEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t)
-	get(t, ts.URL+sweepQuery)
-	resp, body := get(t, ts.URL+"/v1/stats")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	// The same two tiers configured through Store must report the same
+	// store tree as the Cache/Mem convenience fields.
+	cache, err := runner.OpenCache(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var st statsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("invalid stats JSON: %v", err)
-	}
-	if st.Stats.Points != 1 || st.Workers != 4 || st.Mem == nil || st.Mem.Len != 1 || st.DiskDir == "" {
-		t.Fatalf("stats %+v do not reflect the sweep", st)
+	storePool := &runner.Pool{Workers: 4, Store: runner.NewTiered(
+		runner.NewMemStore(runner.NewMemCache(256)), runner.NewDiskStore(cache))}
+	storeTS := httptest.NewServer(New(experiments.Options{Quick: true, MaxProcs: 64, Runner: storePool}))
+	t.Cleanup(storeTS.Close)
+
+	for _, url := range []string{ts.URL, storeTS.URL} {
+		get(t, url+sweepQuery)
+		resp, body := get(t, url+"/v1/stats")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		var st statsResponse
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("invalid stats JSON: %v", err)
+		}
+		mem, disk := storeTier(st.Store, "mem"), storeTier(st.Store, "disk")
+		if st.Stats.Points != 1 || st.Workers != 4 || mem == nil || mem.Len != 1 || mem.Cap != 256 || disk == nil || disk.Len != 1 {
+			t.Fatalf("stats %s do not reflect the sweep", body)
+		}
 	}
 
-	resp, body = get(t, ts.URL+"/healthz")
+	resp, body := get(t, ts.URL+"/healthz")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "ok") {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBarrierSynchronisesClocks(t *testing.T) {
-	_, err := Run(testCfg(8), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(8), func(r *Rank) {
 		r.Elapse(float64(r.ID()) * 1e-3) // skewed clocks
 		r.Barrier(r.World())
 		if r.Now() < 7e-3 {
@@ -22,7 +22,7 @@ func TestBarrierSynchronisesClocks(t *testing.T) {
 
 func TestAllreduceSum(t *testing.T) {
 	const p = 16
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		in := []float64{float64(r.ID()), 1}
 		out := r.Allreduce(r.World(), in, OpSum)
 		wantSum := float64(p*(p-1)) / 2
@@ -37,7 +37,7 @@ func TestAllreduceSum(t *testing.T) {
 
 func TestAllreduceMaxMin(t *testing.T) {
 	const p = 9
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		v := float64(r.ID())
 		if got := r.AllreduceScalar(r.World(), v, OpMax); got != p-1 {
 			t.Errorf("max = %g, want %d", got, p-1)
@@ -58,7 +58,7 @@ func TestAllreduceDeterministicSummationOrder(t *testing.T) {
 	var results []float64
 	for trial := 0; trial < 4; trial++ {
 		var got float64
-		_, err := Run(testCfg(len(vals)), func(r *Rank) {
+		_, err := RunContext(t.Context(), testCfg(len(vals)), func(r *Rank) {
 			s := r.AllreduceScalar(r.World(), vals[r.ID()], OpSum)
 			if r.ID() == 0 {
 				got = s
@@ -78,7 +78,7 @@ func TestAllreduceDeterministicSummationOrder(t *testing.T) {
 
 func TestBcast(t *testing.T) {
 	const p, root = 12, 3
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		var data []float64
 		if r.World().Rank(r) == root {
 			data = []float64{3.14, 2.72}
@@ -103,7 +103,7 @@ func TestBcast(t *testing.T) {
 func TestBcastNominalFallback(t *testing.T) {
 	const p, elems = 4, 64
 	wall := func(nomBytes float64) float64 {
-		rep, err := Run(testCfg(p), func(r *Rank) {
+		rep, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 			var data []float64
 			if r.World().Rank(r) == 0 {
 				data = make([]float64, elems)
@@ -134,7 +134,7 @@ func TestBcastNominalFallback(t *testing.T) {
 
 func TestReduceOnlyRootReceives(t *testing.T) {
 	const p, root = 6, 2
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		out := r.Reduce(r.World(), root, []float64{1}, OpSum)
 		if r.World().Rank(r) == root {
 			if out == nil || out[0] != p {
@@ -151,7 +151,7 @@ func TestReduceOnlyRootReceives(t *testing.T) {
 
 func TestAllgather(t *testing.T) {
 	const p = 5
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		out := r.Allgather(r.World(), []float64{float64(r.ID() * 10)})
 		if len(out) != p {
 			t.Fatalf("allgather returned %d parts", len(out))
@@ -169,7 +169,7 @@ func TestAllgather(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	const p, root = 7, 0
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		out := r.Gather(r.World(), root, []float64{float64(r.ID())})
 		if r.World().Rank(r) == root {
 			for i, part := range out {
@@ -188,7 +188,7 @@ func TestGather(t *testing.T) {
 
 func TestAlltoallTransposesOwnership(t *testing.T) {
 	const p = 6
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		parts := make([][]float64, p)
 		for i := range parts {
 			parts[i] = []float64{float64(r.ID()*100 + i)}
@@ -209,7 +209,7 @@ func TestAlltoallTransposesOwnership(t *testing.T) {
 
 func TestSplitByParity(t *testing.T) {
 	const p = 10
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		color := r.ID() % 2
 		sub := r.Split(r.World(), color, r.ID())
 		if sub == nil {
@@ -234,7 +234,7 @@ func TestSplitByParity(t *testing.T) {
 
 func TestSplitNegativeColorExcluded(t *testing.T) {
 	const p = 4
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		color := 0
 		if r.ID() == 3 {
 			color = -1
@@ -257,7 +257,7 @@ func TestSplitNegativeColorExcluded(t *testing.T) {
 }
 
 func TestCollectiveAdvancesToSlowestEntrant(t *testing.T) {
-	_, err := Run(testCfg(4), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(4), func(r *Rank) {
 		skew := float64(r.ID()) * 0.25
 		r.Elapse(skew)
 		r.Allreduce(r.World(), []float64{1}, OpSum)
@@ -271,7 +271,7 @@ func TestCollectiveAdvancesToSlowestEntrant(t *testing.T) {
 }
 
 func TestCommTimeAccounted(t *testing.T) {
-	rep, err := Run(testCfg(2), func(r *Rank) {
+	rep, err := RunContext(t.Context(), testCfg(2), func(r *Rank) {
 		if r.ID() == 0 {
 			r.Elapse(1.0)
 			r.Send(1, 0, []float64{1})
@@ -291,7 +291,7 @@ func TestCollectivesOnBGLTorus(t *testing.T) {
 	// Exercise the torus code path (BGW at 512 ranks), and check that a
 	// larger partition pays more for the same allreduce.
 	wall := func(p int) float64 {
-		rep, err := Run(Config{Machine: machine.BGW, Procs: p}, func(r *Rank) {
+		rep, err := RunContext(t.Context(), Config{Machine: machine.BGW, Procs: p}, func(r *Rank) {
 			r.Allreduce(r.World(), make([]float64, 512), OpSum)
 		})
 		if err != nil {
@@ -305,7 +305,7 @@ func TestCollectivesOnBGLTorus(t *testing.T) {
 }
 
 func TestLoadImbalanceReported(t *testing.T) {
-	rep, err := Run(testCfg(4), func(r *Rank) {
+	rep, err := RunContext(t.Context(), testCfg(4), func(r *Rank) {
 		if r.ID() == 0 {
 			r.Elapse(1.0)
 		} else {
@@ -323,7 +323,7 @@ func TestLoadImbalanceReported(t *testing.T) {
 }
 
 func TestPhaseAccounting(t *testing.T) {
-	rep, err := Run(testCfg(2), func(r *Rank) {
+	rep, err := RunContext(t.Context(), testCfg(2), func(r *Rank) {
 		t0 := r.Now()
 		r.Elapse(0.5)
 		r.AddPhase("solve", r.Now()-t0)
@@ -341,7 +341,7 @@ func TestPhaseAccounting(t *testing.T) {
 
 func TestScatter(t *testing.T) {
 	const p, root = 5, 2
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		var parts [][]float64
 		if r.World().Rank(r) == root {
 			for i := 0; i < p; i++ {
@@ -361,7 +361,7 @@ func TestScatter(t *testing.T) {
 
 func TestReduceScatter(t *testing.T) {
 	const p = 4
-	_, err := Run(testCfg(p), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
 		// Each rank contributes [0,1,...,7]; the sum is 4x that, and rank
 		// i receives elements [2i, 2i+1].
 		in := make([]float64, 2*p)
@@ -380,7 +380,7 @@ func TestReduceScatter(t *testing.T) {
 }
 
 func TestReduceScatterRejectsIndivisible(t *testing.T) {
-	rep, err := Run(testCfg(3), func(r *Rank) {
+	rep, err := RunContext(t.Context(), testCfg(3), func(r *Rank) {
 		r.ReduceScatter(r.World(), make([]float64, 4), OpSum)
 	})
 	if err == nil {
@@ -390,7 +390,7 @@ func TestReduceScatterRejectsIndivisible(t *testing.T) {
 
 func TestChargeAlltoallN(t *testing.T) {
 	wall := func(n int) float64 {
-		rep, err := Run(testCfg(16), func(r *Rank) {
+		rep, err := RunContext(t.Context(), testCfg(16), func(r *Rank) {
 			r.ChargeAlltoallN(r.World(), 1<<20, n)
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package simmpi
 
 import (
+	"context"
 	"os"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 // spawns would grow the pool and read as a leak. One world wide enough
 // to park every rank at once covers every test's host demand.
 func TestMain(m *testing.M) {
-	if _, err := Run(testCfg(64), func(r *Rank) {
+	if _, err := RunContext(context.Background(), testCfg(64), func(r *Rank) {
 		r.Barrier(r.World())
 	}); err != nil {
 		panic(err)

@@ -13,7 +13,7 @@ func TestFreeBufPoisonsOnPut(t *testing.T) {
 	prev := SetPoisonPutsForTest(true)
 	defer SetPoisonPutsForTest(prev)
 	want := math.Float64bits(PoisonValue)
-	_, err := Run(testCfg(1), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(1), func(r *Rank) {
 		buf := r.GetBuf(64)
 		buf = buf[:cap(buf)]
 		for i := range buf {
@@ -39,7 +39,7 @@ func TestFreeBufPoisonsOnPut(t *testing.T) {
 func TestRetainedBufferNeverAliasedAcrossWorlds(t *testing.T) {
 	const sentinel = 424242.0
 	var retained []float64
-	_, err := Run(testCfg(2), func(r *Rank) {
+	_, err := RunContext(t.Context(), testCfg(2), func(r *Rank) {
 		if r.ID() != 0 {
 			return
 		}
@@ -55,7 +55,7 @@ func TestRetainedBufferNeverAliasedAcrossWorlds(t *testing.T) {
 	}
 	// A second world churning the same size class must never receive the
 	// retained buffer.
-	_, err = Run(testCfg(4), func(r *Rank) {
+	_, err = RunContext(t.Context(), testCfg(4), func(r *Rank) {
 		for round := 0; round < 64; round++ {
 			buf := r.GetBuf(128)
 			buf = buf[:cap(buf)]

@@ -59,7 +59,7 @@ func TestSchedulerDeterminismUnderStress(t *testing.T) {
 	base := func() *Report {
 		cfg := testCfg(procs)
 		cfg.Shards = 1
-		rep, err := Run(cfg, stressProg)
+		rep, err := RunContext(t.Context(), cfg, stressProg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestSchedulerDeterminismUnderStress(t *testing.T) {
 				}
 				cfg := testCfg(procs)
 				cfg.Shards = shards
-				rep, err := Run(cfg, stressProg)
+				rep, err := RunContext(t.Context(), cfg, stressProg)
 				schedShuffle = nil
 				if err != nil {
 					t.Fatalf("gmp=%d shards=%d seed=%d: %v", gmp, shards, seed, err)

@@ -151,18 +151,12 @@ func defaultShards(ctx context.Context, procs int) int {
 	return avail
 }
 
-// Run executes body on every rank of a fresh world and aggregates the
-// results. It returns an error if the configuration is invalid or any
-// rank panics.
-func Run(cfg Config, body func(*Rank)) (*Report, error) {
-	//petavet:ignore ctxfirst Run is the deliberate context-free compatibility entry point; callers who have a ctx use RunContext
-	return RunContext(context.Background(), cfg, body)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled the run
-// aborts through the same mechanism a rank failure uses — every rank
-// unwinds at its next communication operation — and RunContext returns
-// ctx's error. Cancellation only ever turns a run into an error; it
+// RunContext executes body on every rank of a fresh world and
+// aggregates the results. It returns an error if the configuration is
+// invalid or any rank panics. When ctx is cancelled the run aborts
+// through the same mechanism a rank failure uses — every rank unwinds
+// at its next communication operation — and RunContext returns ctx's
+// error. Cancellation only ever turns a run into an error; it
 // cannot change the virtual-time results of a run that completes, so
 // successful runs stay bit-reproducible.
 func RunContext(ctx context.Context, cfg Config, body func(*Rank)) (*Report, error) {
@@ -240,14 +234,8 @@ var activeWorlds atomic.Int64
 // ActiveWorlds reports how many simulated worlds are running right now.
 func ActiveWorlds() int64 { return activeWorlds.Load() }
 
-// MustRun is Run but panics on error; convenient in examples and benches.
-func MustRun(cfg Config, body func(*Rank)) *Report {
-	//petavet:ignore ctxfirst MustRun is the deliberate context-free compatibility entry point; callers who have a ctx use MustRunContext
-	return MustRunContext(context.Background(), cfg, body)
-}
-
-// MustRunContext is RunContext but panics on error — the context-first
-// twin of MustRun for examples and benches that already carry a ctx.
+// MustRunContext is RunContext but panics on error; convenient in
+// examples and benches.
 func MustRunContext(ctx context.Context, cfg Config, body func(*Rank)) *Report {
 	rep, err := RunContext(ctx, cfg, body)
 	if err != nil {

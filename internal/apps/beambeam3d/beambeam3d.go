@@ -129,6 +129,7 @@ type State struct {
 	rho   [2][]float64
 	exF   [2][]float64
 	eyF   [2][]float64
+	phi   []float64       // potential: assembled on solver ranks, broadcast into on the rest
 	plan  *fft.Parallel3D // nil on non-solver ranks
 	fcomm *simmpi.Comm
 
@@ -146,6 +147,7 @@ func NewState(r *simmpi.Rank, cfg Config) (*State, error) {
 	}
 	s := &State{cfg: cfg, r: r, rng: uint64(cfg.Seed)*6364136223846793005 + uint64(r.ID()) + 1}
 	n := cfg.NX * cfg.NY * cfg.NZ
+	s.phi = make([]float64, n)
 	for b := 0; b < 2; b++ {
 		s.rho[b] = make([]float64, n)
 		s.exF[b] = make([]float64, n)
@@ -270,8 +272,7 @@ func (s *State) depositAndGather() {
 
 	t1 := s.r.Now()
 	for b := 0; b < 2; b++ {
-		sum := s.r.AllreduceNominal(s.r.World(), s.rho[b], simmpi.OpSum, s.nomXferBytes)
-		copy(s.rho[b], sum)
+		s.r.AllreduceNominal(s.r.World(), s.rho[b], simmpi.OpSum, s.nomXferBytes)
 	}
 	s.r.AddPhase("gather", s.r.Now()-t1)
 }
@@ -281,9 +282,8 @@ func (s *State) depositAndGather() {
 func (s *State) solveFields() {
 	t0 := s.r.Now()
 	nx, ny, nz := s.cfg.NX, s.cfg.NY, s.cfg.NZ
-	n := nx * ny * nz
+	phi := s.phi
 	for b := 0; b < 2; b++ {
-		var phi []float64
 		if s.plan != nil {
 			lz := nz / s.fcomm.Size()
 			slab := make([]complex128, s.plan.SlabLen())
@@ -329,7 +329,6 @@ func (s *State) solveFields() {
 			}
 			slabs := s.r.AllgatherNominal(s.fcomm, flat,
 				16*float64(s.cfg.NomNX*s.cfg.NomNY*s.cfg.NomNZ)/float64(s.fcomm.Size()))
-			phi = make([]float64, n)
 			for q, sl := range slabs {
 				for kl := 0; kl < lz; kl++ {
 					k := q*lz + kl
@@ -343,7 +342,7 @@ func (s *State) solveFields() {
 		}
 		// Broadcast the potential from solver rank 0 to the world
 		// (the "broadcast the electric and magnetic fields" of §6).
-		phi = s.r.BcastNominal(s.r.World(), 0, phi, s.nomXferBytes)
+		s.r.BcastNominal(s.r.World(), 0, phi, s.nomXferBytes)
 		// Differentiate into transverse fields.
 		for k := 0; k < nz; k++ {
 			for j := 0; j < ny; j++ {

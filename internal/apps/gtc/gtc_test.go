@@ -98,6 +98,35 @@ func TestParticleCountConservedByShift(t *testing.T) {
 	}
 }
 
+// TestShiftKeepsParticleArray pins NewState's arrival headroom: under
+// the default configurations no rank's particle array is regrown by the
+// arrivals Shift appends, so steady-state steps allocate no particles.
+func TestShiftKeepsParticleArray(t *testing.T) {
+	for _, procs := range []int{64, 256} {
+		for _, spec := range []machine.Spec{machine.BGW, machine.Jaguar} {
+			cfg := DefaultConfig(spec, procs)
+			_, err := simmpi.RunContext(t.Context(), simmpi.Config{Machine: spec, Procs: procs}, func(r *simmpi.Rank) {
+				st, err := NewState(r, cfg)
+				if err != nil {
+					panic(err)
+				}
+				base := &st.parts[:1][0]
+				for i := 0; i < cfg.Steps; i++ {
+					st.Step()
+					if p := &st.parts[:1][0]; p != base {
+						t.Errorf("%s P=%d rank %d: step %d regrew the particle array to %d",
+							spec.Name, procs, r.ID(), i, cap(st.parts))
+						base = p
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestShiftDeliversParticlesToOwnDomain(t *testing.T) {
 	const procs = 8
 	cfg := smallCfg(procs)

@@ -769,10 +769,8 @@ func (s *State) GlobalTotals() [NFields]float64 {
 			local[f] += t[f]
 		}
 	}
-	sum := s.r.Allreduce(s.r.World(), local[:], simmpi.OpSum)
-	var out [NFields]float64
-	copy(out[:], sum)
-	return out
+	s.r.Allreduce(s.r.World(), local[:], simmpi.OpSum)
+	return local
 }
 
 // ProbeDensity returns the base-level density at a global cell (only

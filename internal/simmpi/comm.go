@@ -143,8 +143,10 @@ func (c *Comm) WorldRank(commRank int) int { return c.ranks[commRank] }
 // to fill outputs and the finish time, then wakes every other member —
 // all of which are parked right here, by the lock ordering argument in
 // sched.go. Everyone leaves with their output and their clock advanced
-// to the finish instant.
-func (c *Comm) collect(r *Rank, input slot, nomBytes float64, fin func(s *commShared)) slot {
+// to the finish instant. fin must not panic: it reports bad arguments
+// as an error, and the last arriver fails the world with it after
+// releasing the lock, so the parked members can wake into the abort.
+func (c *Comm) collect(r *Rank, input slot, nomBytes float64, fin func(s *commShared) error) slot {
 	r.checkAbort()
 	me := c.Rank(r)
 	if me < 0 {
@@ -164,7 +166,11 @@ func (c *Comm) collect(r *Rank, input slot, nomBytes float64, fin func(s *commSh
 	}
 	s.arrived++
 	if s.arrived == len(c.ranks) {
-		fin(s)
+		if err := fin(s); err != nil {
+			s.mu.Unlock()
+			w.abort(err)
+			panic(abortedPanic{err})
+		}
 		s.arrived = 0
 		s.maxClock = math.Inf(-1)
 		s.nomBytes = 0
@@ -193,27 +199,6 @@ func (c *Comm) collect(r *Rank, input slot, nomBytes float64, fin func(s *commSh
 	return out
 }
 
-// fanOutVec hands every member its own copy of src, carved from one
-// backing allocation instead of one per member. The copies go to
-// application code (a rank may mutate its result in place), so they
-// must not overlap — full-capacity subslices guarantee that even
-// through append.
-func fanOutVec(outputs []slot, src []float64) {
-	k := len(src)
-	if k == 0 {
-		for i := range outputs {
-			outputs[i].vec = nil
-		}
-		return
-	}
-	backing := make([]float64, k*len(outputs))
-	for i := range outputs {
-		dst := backing[i*k : (i+1)*k : (i+1)*k]
-		copy(dst, src)
-		outputs[i].vec = dst
-	}
-}
-
 func (c *Comm) record(kind string, b float64) {
 	if tc := c.w.cfg.Collector; tc != nil {
 		tc.RecordCollective(kind, len(c.ranks), b)
@@ -233,13 +218,19 @@ func (c *Comm) record(kind string, b float64) {
 // Barrier synchronises all members of the communicator.
 func (r *Rank) Barrier(c *Comm) {
 	c.record("barrier", 0)
-	c.collect(r, slot{}, 0, func(s *commShared) {
+	c.collect(r, slot{}, 0, func(s *commShared) error {
 		s.finish = s.maxClock + r.w.net.Barrier(len(c.ranks))
+		return nil
 	})
 }
 
-// Bcast distributes root's data to every member and returns each member's
-// copy. root is a communicator rank.
+// Bcast copies root's data into every member's data buffer and returns
+// that buffer (MPI_IN_PLACE semantics). root is a communicator rank.
+// Every member passes a buffer the length of the root's; the root's is
+// left unchanged. Each member owns the buffer it passed and the result
+// in it: the runtime keeps no reference once Bcast returns, so a member
+// may mutate or reuse it freely, but it must not share one buffer with
+// another member. A length mismatch fails the world with an error.
 func (r *Rank) Bcast(c *Comm, root int, data []float64) []float64 {
 	return r.BcastNominal(c, root, data, -1)
 }
@@ -247,12 +238,12 @@ func (r *Rank) Bcast(c *Comm, root int, data []float64) []float64 {
 // BcastNominal is Bcast charging an explicit nominal byte count
 // (nomBytes < 0 charges the actual payload size).
 func (r *Rank) BcastNominal(c *Comm, root int, data []float64, nomBytes float64) []float64 {
+	c.checkRoot("bcast", root)
 	c.record("bcast", nomBytes)
-	var in slot
-	if c.Rank(r) == root {
-		in.vec = data
-	}
-	out := c.collect(r, in, nomBytes, func(s *commShared) {
+	c.collect(r, slot{vec: data}, nomBytes, func(s *commShared) error {
+		if err := checkLens("bcast", s.inputs, root); err != nil {
+			return err
+		}
 		src := s.inputs[root].vec
 		b := s.nomBytes
 		if b <= 0 {
@@ -260,14 +251,23 @@ func (r *Rank) BcastNominal(c *Comm, root int, data []float64, nomBytes float64)
 			// nominal size charges the actual payload.
 			b = float64(len(src) * 8)
 		}
-		fanOutVec(s.outputs, src)
+		for i := range s.inputs {
+			if i != root {
+				copy(s.inputs[i].vec, src)
+			}
+		}
 		s.finish = s.maxClock + r.w.net.Bcast(len(c.ranks), b)
+		return nil
 	})
-	return out.vec
+	return data
 }
 
-// Allreduce combines data elementwise across all members with op and
-// returns the combined vector to every member.
+// Allreduce combines data elementwise across all members with op, writes
+// the result into every member's data buffer and returns that buffer
+// (MPI_IN_PLACE semantics). Every member passes a buffer of the same
+// length. Ownership is as for Bcast: each member's result lives in its
+// own buffer, which the runtime no longer references once Allreduce
+// returns, and no two members may share one.
 func (r *Rank) Allreduce(c *Comm, data []float64, op Op) []float64 {
 	return r.AllreduceNominal(c, data, op, -1)
 }
@@ -275,16 +275,25 @@ func (r *Rank) Allreduce(c *Comm, data []float64, op Op) []float64 {
 // AllreduceNominal is Allreduce charging an explicit nominal byte count.
 func (r *Rank) AllreduceNominal(c *Comm, data []float64, op Op, nomBytes float64) []float64 {
 	c.record("allreduce", nomBytes)
-	out := c.collect(r, slot{vec: data}, nomBytes, func(s *commShared) {
-		acc := reduceInputs(s.inputs, op)
+	c.collect(r, slot{vec: data}, nomBytes, func(s *commShared) error {
+		if err := checkLens("allreduce", s.inputs, 0); err != nil {
+			return err
+		}
+		k := len(s.inputs[0].vec)
+		acc := r.w.getBuf(k)[:k]
+		reduceInto(acc, s.inputs, op)
+		for i := range s.inputs {
+			copy(s.inputs[i].vec, acc)
+		}
+		r.w.freeBuf(acc)
 		b := s.nomBytes
 		if b <= 0 {
-			b = float64(len(acc) * 8)
+			b = float64(k * 8)
 		}
-		fanOutVec(s.outputs, acc)
 		s.finish = s.maxClock + r.w.net.Allreduce(len(c.ranks), b)
+		return nil
 	})
-	return out.vec
+	return data
 }
 
 // AllreduceScalar reduces a single value across the communicator.
@@ -294,34 +303,55 @@ func (r *Rank) AllreduceScalar(c *Comm, v float64, op Op) float64 {
 }
 
 // Reduce combines data to the root (communicator rank). Only the root
-// receives a non-nil result.
+// receives a non-nil result. Every member passes the same length.
 func (r *Rank) Reduce(c *Comm, root int, data []float64, op Op) []float64 {
+	c.checkRoot("reduce", root)
 	c.record("reduce", float64(len(data)*8))
-	out := c.collect(r, slot{vec: data}, float64(len(data)*8), func(s *commShared) {
-		acc := reduceInputs(s.inputs, op)
+	out := c.collect(r, slot{vec: data}, float64(len(data)*8), func(s *commShared) error {
+		if err := checkLens("reduce", s.inputs, 0); err != nil {
+			return err
+		}
+		acc := make([]float64, len(s.inputs[0].vec))
+		reduceInto(acc, s.inputs, op)
 		for i := range s.outputs {
 			s.outputs[i].vec = nil
 		}
 		s.outputs[root].vec = acc
 		s.finish = s.maxClock + r.w.net.Reduce(len(c.ranks), s.nomBytes)
+		return nil
 	})
 	return out.vec
 }
 
-func reduceInputs(inputs []slot, op Op) []float64 {
-	var acc []float64
+// checkLens reports an error unless every member's vector has the
+// length of member ref's.
+func checkLens(op string, inputs []slot, ref int) error {
+	want := len(inputs[ref].vec)
 	for i := range inputs {
-		v := inputs[i].vec
-		if v == nil {
-			continue
+		if n := len(inputs[i].vec); n != want {
+			return fmt.Errorf("simmpi: %s: communicator rank %d passed %d elements, rank %d passed %d",
+				op, i, n, ref, want)
 		}
-		if acc == nil {
-			acc = append([]float64(nil), v...)
-			continue
-		}
-		op.combine(acc, v)
 	}
-	return acc
+	return nil
+}
+
+// checkRoot panics, before the rendezvous, unless root is a rank of c:
+// an out-of-range root indexed inside the completion step would panic
+// under the communicator's lock and hang the world.
+func (c *Comm) checkRoot(op string, root int) {
+	if root < 0 || root >= len(c.ranks) {
+		panic(fmt.Sprintf("simmpi: %s root %d on a %d-rank communicator", op, root, len(c.ranks)))
+	}
+}
+
+// reduceInto combines the members' equal-length vectors into dst in
+// communicator-rank order, so results are bit-deterministic.
+func reduceInto(dst []float64, inputs []slot, op Op) {
+	copy(dst, inputs[0].vec)
+	for i := 1; i < len(inputs); i++ {
+		op.combine(dst, inputs[i].vec)
+	}
 }
 
 // Allgather concatenates every member's contribution; element i of the
@@ -334,7 +364,7 @@ func (r *Rank) Allgather(c *Comm, data []float64) [][]float64 {
 // byte count.
 func (r *Rank) AllgatherNominal(c *Comm, data []float64, nomBytes float64) [][]float64 {
 	c.record("allgather", nomBytes)
-	out := c.collect(r, slot{vec: append([]float64(nil), data...)}, nomBytes, func(s *commShared) {
+	out := c.collect(r, slot{vec: append([]float64(nil), data...)}, nomBytes, func(s *commShared) error {
 		all := make([][]float64, len(s.inputs))
 		for i := range s.inputs {
 			all[i] = s.inputs[i].vec
@@ -347,6 +377,7 @@ func (r *Rank) AllgatherNominal(c *Comm, data []float64, nomBytes float64) [][]f
 			s.outputs[i].parts = all
 		}
 		s.finish = s.maxClock + r.w.net.Allgather(len(c.ranks), b)
+		return nil
 	})
 	return out.parts
 }
@@ -354,8 +385,9 @@ func (r *Rank) AllgatherNominal(c *Comm, data []float64, nomBytes float64) [][]f
 // Gather collects every member's contribution at the root; only the root
 // receives a non-nil result (read-only slices).
 func (r *Rank) Gather(c *Comm, root int, data []float64) [][]float64 {
+	c.checkRoot("gather", root)
 	c.record("gather", float64(len(data)*8))
-	out := c.collect(r, slot{vec: append([]float64(nil), data...)}, float64(len(data)*8), func(s *commShared) {
+	out := c.collect(r, slot{vec: append([]float64(nil), data...)}, float64(len(data)*8), func(s *commShared) error {
 		all := make([][]float64, len(s.inputs))
 		for i := range s.inputs {
 			all[i] = s.inputs[i].vec
@@ -365,6 +397,7 @@ func (r *Rank) Gather(c *Comm, root int, data []float64) [][]float64 {
 		}
 		s.outputs[root].parts = all
 		s.finish = s.maxClock + r.w.net.Gather(len(c.ranks), s.nomBytes)
+		return nil
 	})
 	return out.parts
 }
@@ -389,7 +422,7 @@ func (r *Rank) AlltoallNominal(c *Comm, parts [][]float64, nomBytesPerPair float
 	for i, p := range parts {
 		snap[i] = append([]float64(nil), p...)
 	}
-	out := c.collect(r, slot{parts: snap}, nomBytesPerPair, func(s *commShared) {
+	out := c.collect(r, slot{parts: snap}, nomBytesPerPair, func(s *commShared) error {
 		n := len(s.inputs)
 		b := s.nomBytes
 		if b <= 0 {
@@ -405,6 +438,7 @@ func (r *Rank) AlltoallNominal(c *Comm, parts [][]float64, nomBytesPerPair float
 			s.outputs[j].parts = recvd
 		}
 		s.finish = s.maxClock + r.w.net.Alltoall(n, b)
+		return nil
 	})
 	return out.parts
 }
@@ -434,6 +468,7 @@ func maxPartBytes(inputs []slot) float64 {
 // Scatter distributes root's parts: member i receives parts[i]. Only the
 // root's parts argument is consulted.
 func (r *Rank) Scatter(c *Comm, root int, parts [][]float64) []float64 {
+	c.checkRoot("scatter", root)
 	var in slot
 	if c.Rank(r) == root {
 		snap := make([][]float64, len(parts))
@@ -443,7 +478,7 @@ func (r *Rank) Scatter(c *Comm, root int, parts [][]float64) []float64 {
 		in.parts = snap
 	}
 	c.record("scatter", 0)
-	out := c.collect(r, in, 0, func(s *commShared) {
+	out := c.collect(r, in, 0, func(s *commShared) error {
 		rootParts := s.inputs[root].parts
 		var b float64
 		for i := range s.outputs {
@@ -458,6 +493,7 @@ func (r *Rank) Scatter(c *Comm, root int, parts [][]float64) []float64 {
 		}
 		// A scatter is a gather run in reverse: same root bottleneck.
 		s.finish = s.maxClock + r.w.net.Gather(len(c.ranks), b)
+		return nil
 	})
 	return out.vec
 }
@@ -470,8 +506,12 @@ func (r *Rank) ReduceScatter(c *Comm, data []float64, op Op) []float64 {
 		panic(fmt.Sprintf("simmpi: reduce-scatter of %d elements over %d ranks", len(data), len(c.ranks)))
 	}
 	c.record("reducescatter", float64(len(data)*8))
-	out := c.collect(r, slot{vec: data}, float64(len(data)*8), func(s *commShared) {
-		acc := reduceInputs(s.inputs, op)
+	out := c.collect(r, slot{vec: data}, float64(len(data)*8), func(s *commShared) error {
+		if err := checkLens("reduce-scatter", s.inputs, 0); err != nil {
+			return err
+		}
+		acc := make([]float64, len(s.inputs[0].vec))
+		reduceInto(acc, s.inputs, op)
 		n := len(c.ranks)
 		chunk := len(acc) / n
 		for i := 0; i < n; i++ {
@@ -480,6 +520,7 @@ func (r *Rank) ReduceScatter(c *Comm, data []float64, op Op) []float64 {
 		// Rabenseifner's allreduce is reduce-scatter + allgather; charge
 		// the first half plus combining.
 		s.finish = s.maxClock + r.w.net.Allreduce(n, s.nomBytes)/2
+		return nil
 	})
 	return out.vec
 }
@@ -496,11 +537,12 @@ func (r *Rank) ChargeAlltoallN(c *Comm, bytesPerPair float64, n int) {
 		return
 	}
 	c.record("alltoall", bytesPerPair)
-	c.collect(r, slot{}, bytesPerPair, func(s *commShared) {
+	c.collect(r, slot{}, bytesPerPair, func(s *commShared) error {
 		for i := range s.outputs {
 			s.outputs[i] = slot{}
 		}
 		s.finish = s.maxClock + float64(n)*r.w.net.Alltoall(len(c.ranks), bytesPerPair)
+		return nil
 	})
 }
 
@@ -509,7 +551,7 @@ func (r *Rank) ChargeAlltoallN(c *Comm, bytesPerPair float64, n int) {
 // passing a negative color receive nil.
 func (r *Rank) Split(c *Comm, color, key int) *Comm {
 	c.record("split", 0)
-	out := c.collect(r, slot{ck: [2]int{color, key}}, 0, func(s *commShared) {
+	out := c.collect(r, slot{ck: [2]int{color, key}}, 0, func(s *commShared) error {
 		type member struct{ color, key, world, idx int }
 		var ms []member
 		for i := range s.inputs {
@@ -551,6 +593,7 @@ func (r *Rank) Split(c *Comm, color, key int) *Comm {
 		}
 		// A split costs roughly an allgather of the (color, key) pairs.
 		s.finish = s.maxClock + r.w.net.Allgather(len(c.ranks), 8)
+		return nil
 	})
 	return out.cm
 }

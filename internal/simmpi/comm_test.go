@@ -2,6 +2,7 @@ package simmpi
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -79,7 +80,7 @@ func TestAllreduceDeterministicSummationOrder(t *testing.T) {
 func TestBcast(t *testing.T) {
 	const p, root = 12, 3
 	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
-		var data []float64
+		data := make([]float64, 2)
 		if r.World().Rank(r) == root {
 			data = []float64{3.14, 2.72}
 		}
@@ -95,6 +96,115 @@ func TestBcast(t *testing.T) {
 	}
 }
 
+// TestAllreduceInPlace pins the in-place contract: every member's own
+// buffer comes back holding the communicator-rank-ordered reduction, and
+// a member that scribbles over its result afterwards leaves every other
+// member's untouched.
+func TestAllreduceInPlace(t *testing.T) {
+	// Summation order is observable with these values: the rank-ordered
+	// sum differs from, e.g., the reverse-ordered one.
+	vals := []float64{1e16, 1.0, -1e16, 3.0, 2.0, -3.0, 7.0, 1e-9}
+	p := len(vals)
+	var want float64
+	for i, v := range vals {
+		if i == 0 {
+			want = v
+		} else {
+			want += v
+		}
+	}
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
+		data := []float64{vals[r.ID()], float64(r.ID())}
+		out := r.Allreduce(r.World(), data, OpSum)
+		if &out[0] != &data[0] {
+			t.Errorf("rank %d: Allreduce returned a buffer other than its data", r.ID())
+		}
+		if math.Float64bits(data[0]) != math.Float64bits(want) || data[1] != float64(p*(p-1)/2) {
+			t.Errorf("rank %d: buffer %v, want [%v %d]", r.ID(), data, want, p*(p-1)/2)
+		}
+		if r.ID() == 0 {
+			for i := range out {
+				out[i] = math.NaN()
+			}
+		}
+		r.Barrier(r.World())
+		if r.ID() != 0 && math.Float64bits(data[0]) != math.Float64bits(want) {
+			t.Errorf("rank %d: result changed to %v after rank 0 mutated its own", r.ID(), data)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBcastInPlace pins Bcast's in-place contract: non-roots receive the
+// root's data in their own buffers, the root's buffer is left as it was,
+// and results are independent once returned.
+func TestBcastInPlace(t *testing.T) {
+	const p, root = 6, 4
+	src := []float64{1.5, -2.5, 3.5}
+	_, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
+		data := []float64{-1, -1, -1}
+		if r.ID() == root {
+			copy(data, src)
+		}
+		out := r.Bcast(r.World(), root, data)
+		if &out[0] != &data[0] {
+			t.Errorf("rank %d: Bcast returned a buffer other than its data", r.ID())
+		}
+		for i := range src {
+			if data[i] != src[i] {
+				t.Errorf("rank %d: buffer %v, want %v", r.ID(), data, src)
+				break
+			}
+		}
+		if r.ID() == root {
+			out[0] = 99 // the root's mutation must reach nobody
+		}
+		r.Barrier(r.World())
+		if r.ID() != root && data[0] != src[0] {
+			t.Errorf("rank %d: result changed to %v after the root mutated its own", r.ID(), data)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllreduceAllocBound bounds the host allocation of in-place
+// reductions: 16 rounds of a 4096-element allreduce on 256 ranks must
+// allocate less than a single round of per-member result copies
+// (P·k·8 bytes) would.
+func TestAllreduceAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates per synchronization event")
+	}
+	const p, k, rounds = 256, 4096, 16
+	bufs := make([][]float64, p)
+	for i := range bufs {
+		bufs[i] = make([]float64, k)
+	}
+	body := func(r *Rank) {
+		for it := 0; it < rounds; it++ {
+			r.Allreduce(r.World(), bufs[r.ID()], OpSum)
+		}
+	}
+	cfg := testCfg(p)
+	// Warm the world arena and its payload pool outside the measurement.
+	if _, err := RunContext(t.Context(), cfg, body); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunContext(t.Context(), cfg, body); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(p*k*8); got >= limit {
+		t.Fatalf("%d rounds allocated %d bytes, want < %d (one round of per-member copies)", rounds, got, limit)
+	}
+}
+
 // TestBcastNominalFallback pins the charged byte count for explicit,
 // zero, and negative nominal sizes: zero and negative fall back to the
 // actual payload (the fallback every other collective uses), and an
@@ -104,10 +214,7 @@ func TestBcastNominalFallback(t *testing.T) {
 	const p, elems = 4, 64
 	wall := func(nomBytes float64) float64 {
 		rep, err := RunContext(t.Context(), testCfg(p), func(r *Rank) {
-			var data []float64
-			if r.World().Rank(r) == 0 {
-				data = make([]float64, elems)
-			}
+			data := make([]float64, elems)
 			out := r.BcastNominal(r.World(), 0, data, nomBytes)
 			if len(out) != elems {
 				t.Errorf("rank %d received %d elements", r.ID(), len(out))

@@ -137,6 +137,79 @@ func TestCancelSplitCommNoLeak(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
+// TestBadCollectiveArgumentFailsWorld passes mismatched vector lengths
+// and out-of-range roots to the collectives and expects the world to
+// fail with an error naming the collective, promptly, with every rank
+// goroutine unwound. The completion step runs under the communicator's
+// lock, so a bad argument that panicked there instead would leave the
+// woken ranks blocked on that lock and the world hung, cancellation
+// included.
+func TestBadCollectiveArgumentFailsWorld(t *testing.T) {
+	warmPools(t)
+	cases := []struct {
+		name, op string
+		call     func(r *Rank)
+	}{
+		{"AllreduceShrinking", "allreduce", func(r *Rank) {
+			r.Allreduce(r.World(), make([]float64, 4-r.ID()), OpSum)
+		}},
+		{"AllreduceGrowing", "allreduce", func(r *Rank) {
+			r.Allreduce(r.World(), make([]float64, 1+r.ID()), OpSum)
+		}},
+		{"BcastShortMember", "bcast", func(r *Rank) {
+			n := 8
+			if r.ID() == 2 {
+				n = 7
+			}
+			r.Bcast(r.World(), 0, make([]float64, n))
+		}},
+		{"BcastLongMember", "bcast", func(r *Rank) {
+			n := 8
+			if r.ID() == 3 {
+				n = 9
+			}
+			r.Bcast(r.World(), 1, make([]float64, n))
+		}},
+		{"Reduce", "reduce", func(r *Rank) {
+			r.Reduce(r.World(), 0, make([]float64, 4-r.ID()), OpSum)
+		}},
+		{"ReduceScatter", "reduce-scatter", func(r *Rank) {
+			r.ReduceScatter(r.World(), make([]float64, 4*(1+r.ID()%2)), OpSum)
+		}},
+		{"BcastRoot", "bcast root", func(r *Rank) {
+			r.Bcast(r.World(), r.N(), make([]float64, 8))
+		}},
+		{"ReduceRoot", "reduce root", func(r *Rank) {
+			r.Reduce(r.World(), -1, make([]float64, 8), OpSum)
+		}},
+		{"GatherRoot", "gather root", func(r *Rank) {
+			r.Gather(r.World(), r.N(), make([]float64, 8))
+		}},
+		{"ScatterRoot", "scatter root", func(r *Rank) {
+			r.Scatter(r.World(), r.N(), nil)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunContext(t.Context(), Config{Machine: machine.Bassi, Procs: 4}, tc.call)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "simmpi: "+tc.op) {
+					t.Fatalf("run returned %v, want a %s argument error", err, tc.op)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("run with a bad %s argument did not fail:\n%s", tc.op, stackDump())
+			}
+			waitForGoroutines(t, before)
+		})
+	}
+}
+
 // warmPools runs one cancellable world to completion so process-wide
 // goroutine pools (duty hosts, the cancellation watcher) are populated
 // before a leak test takes its baseline count: those goroutines park in
